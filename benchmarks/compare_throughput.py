@@ -8,8 +8,8 @@ Usage::
 
 Both files are the JSON written by
 ``benchmarks/test_bench_e19_event_throughput.py``.  The gate compares
-the **speedup** (incremental events/sec normalized by the legacy loop
-measured in the same run), which is stable across machines, and exits
+the **speedup** (production ``vector`` events/sec normalized by the
+legacy loop measured in the same run), which is stable across machines, and exits
 non-zero when the candidate's speedup regresses by more than
 ``--max-regression`` (default 10%) against the committed baseline.
 Absolute events/sec for both engines are printed for context.

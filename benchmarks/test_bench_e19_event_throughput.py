@@ -1,10 +1,13 @@
 """E19 — event-driven simulator throughput (hot-path optimization).
 
 Regenerates: the engineering claim behind this repo's event-driven
-simulator rework — the incremental water-filling engine, the LRU route
-cache and the lazy-deletion completion heap together deliver at least a
-3x events/second speedup over the pre-optimization loop on a 64-rack
-fabric, with the same flow-completion results.
+simulator rework — the production data plane (struct-of-arrays flow
+table, batched admission over pre-resolved routes, class-aggregated
+water filling) delivers at least a 3x events/second speedup over the
+frozen pre-optimization loop on a 64-rack fabric, with the same
+flow-completion results.  Each engine is timed over 11 alternating
+turns and the speedup is the median per-turn ratio, which keeps the
+10% regression gate clear of host-speed drift.
 
 The run writes a machine-readable record (``BENCH_e19.json`` in the
 working directory, or ``$ALVC_BENCH_E19_OUT``) that
@@ -20,14 +23,9 @@ import pytest
 from repro.analysis.experiments import experiment_e19_event_throughput
 from repro.analysis.reporting import render_table
 
-#: The tentpole promise: incremental engine at least this much faster.
+#: The headline promise: the production engine at least this much
+#: faster than the legacy loop.
 MIN_SPEEDUP = 3.0
-
-#: The vector engine pays numpy dispatch overhead per recompute, so at
-#: e19's low concurrency (400 flows) it only has to beat the legacy
-#: loop soundly — its high-concurrency claim (>= 2.5x incremental at
-#: 8000 flows) is E26's gate (``test_bench_e26_dataplane.py``).
-MIN_VECTOR_SPEEDUP = 2.0
 
 
 def test_bench_e19_event_throughput(benchmark):
@@ -46,29 +44,20 @@ def test_bench_e19_event_throughput(benchmark):
 
     by_engine = {row["engine"]: row for row in rows}
     legacy = by_engine["legacy"]
-    incremental = by_engine["incremental"]
-    vector = by_engine["vector"]
+    production = by_engine["vector"]
 
     # Identical workload, identical outcome (to float tolerance; the
-    # bit-for-bit check lives in tests/sim/test_event_simulator.py).
-    for contender in (incremental, vector):
-        assert contender["flows"] == legacy["flows"]
-        assert contender["events"] == legacy["events"]
-        assert contender["mean_fct"] == pytest.approx(
-            legacy["mean_fct"], rel=1e-6
-        )
-
-    # The tentpole acceptance bar: >= 3x events/second.
-    assert incremental["speedup"] >= MIN_SPEEDUP, (
-        f"incremental engine is only {incremental['speedup']:.2f}x the "
-        f"legacy loop (target {MIN_SPEEDUP}x)"
+    # certified per-recompute check lives in tests/sim/).
+    assert production["flows"] == legacy["flows"]
+    assert production["events"] == legacy["events"]
+    assert production["mean_fct"] == pytest.approx(
+        legacy["mean_fct"], rel=1e-6
     )
 
-    # The vector data plane must still beat the legacy loop here even
-    # though e19's sizing is incremental's best case.
-    assert vector["speedup"] >= MIN_VECTOR_SPEEDUP, (
-        f"vector engine is only {vector['speedup']:.2f}x the legacy "
-        f"loop (target {MIN_VECTOR_SPEEDUP}x)"
+    # The tentpole acceptance bar: >= 3x events/second.
+    assert production["speedup"] >= MIN_SPEEDUP, (
+        f"production engine is only {production['speedup']:.2f}x the "
+        f"legacy loop (target {MIN_SPEEDUP}x)"
     )
 
     out_path = os.environ.get("ALVC_BENCH_E19_OUT", "BENCH_e19.json")
@@ -80,7 +69,7 @@ def test_bench_e19_event_throughput(benchmark):
                 "events_per_sec": {
                     row["engine"]: row["events_per_sec"] for row in rows
                 },
-                "speedup": incremental["speedup"],
+                "speedup": production["speedup"],
             },
             handle,
             indent=2,

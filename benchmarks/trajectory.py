@@ -7,9 +7,9 @@ point in git history.  This tool walks that history and writes
 
     {
       "e26_dataplane_throughput": {
-        "speedups.vector_over_incremental": {
-          "series": [{"commit": "...", "subject": "...", "value": 3.12}],
-          "floor": 2.34
+        "speedups.vector_over_legacy": {
+          "series": [{"commit": "...", "subject": "...", "value": 22.0}],
+          "floor": 11.0
         },
         ...
       }
@@ -26,7 +26,9 @@ speedup ratios of arms measured back-to-back on the same machine are
 comparable across PRs.  A floor is ``RATCHET_FRACTION`` of the best
 value ever committed, and only ever ratchets upward: once a record
 demonstrates a ratio, later PRs may not quietly regress it by more
-than the slack.  ``check`` mode re-reads the committed trajectory,
+than the slack.  A floor goes away only when the arm it measures is
+deleted: such metrics are listed in ``RETIRED`` with the reason, keep
+their series as history and carry no floor.  ``check`` mode re-reads the committed trajectory,
 compares the current records against those floors, and exits non-zero
 on any violation — that is the CI step::
 
@@ -61,6 +63,16 @@ SKIP_KEYS = frozenset({"rows", "config"})
 #: becoming 8x), not to re-litigate run-to-run noise — the tight
 #: absolute floors live in the ``compare_*.py`` gates.
 RATCHET_FRACTION = 0.5
+
+#: Gated metrics whose arm no longer exists, with the reason.
+RETIRED = {
+    ("e26_dataplane_throughput", "speedups.vector_over_incremental"): (
+        "the incremental engine arm was deleted with its engine"
+    ),
+    ("e26_dataplane_throughput", "speedups.batched_over_vector"): (
+        "the per-event vector arm was deleted with per-event admission"
+    ),
+}
 
 
 def _git(*argv: str) -> str:
@@ -150,7 +162,10 @@ def collect() -> dict:
         entry: dict = {}
         for metric, series in sorted(series_by_metric.items()):
             record: dict = {"series": series}
-            if is_gated(metric):
+            retired = RETIRED.get((experiment, metric))
+            if retired is not None:
+                record["retired"] = retired
+            elif is_gated(metric):
                 best = max(item["value"] for item in series)
                 floor = RATCHET_FRACTION * best
                 old = (

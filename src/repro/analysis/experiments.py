@@ -17,7 +17,9 @@ them out for exact comparisons).
 
 from __future__ import annotations
 
+import gc
 import random
+import statistics
 import time
 import zlib
 from typing import Sequence
@@ -1220,18 +1222,24 @@ def experiment_e19_event_throughput(
     n_ops: int = 16,
     n_flows: int = 400,
     arrival_rate: float = 200.0,
-    engines: Sequence[str] = ("legacy", "incremental", "vector"),
+    engines: Sequence[str] = ("legacy", "vector"),
+    repeats: int = 11,
     seed: int = 0,
 ) -> list[dict]:
     """Events/second of the event-driven simulator, engine by engine.
 
     Plays one service-correlated workload on a 64-rack fabric through
-    each selected engine.  ``legacy`` (the pre-optimization loop, run
-    with the route cache disabled) sets the baseline; ``incremental``
-    is the production hot path (lazy completion heap + incremental
-    water-filling + route cache); ``vector`` is the struct-of-arrays
-    data plane (PR 9).  Rows report wall time, processed events,
-    events/second, and the speedup over the first engine.
+    each selected engine.  ``legacy`` (the frozen pre-optimization
+    loop, run with the route cache disabled) sets the baseline;
+    ``vector`` is the production data plane (struct-of-arrays flow
+    table, batched admission, class-aggregated water filling).  Rows
+    report wall time, processed events, events/second, and the speedup
+    over the first engine.
+
+    Each engine runs ``repeats`` times on a fresh simulator, the
+    engines taking turns.  Wall time and events/second come from the
+    engine's median run; the speedup is the median of the per-turn
+    ratios, so drift in host speed between turns cancels out of it.
 
     The workloads are identical across engines, so reported FCT means
     double as a cross-engine sanity check (equal to float tolerance).
@@ -1255,21 +1263,29 @@ def experiment_e19_event_throughput(
     )
     flows = generator.flows(n_flows)
 
+    walls: dict[str, list[float]] = {engine: [] for engine in engines}
+    runs = {}
+    for _ in range(repeats):
+        for engine in engines:
+            simulator = EventDrivenFlowSimulator(
+                inventory,
+                clusters,
+                engines={"sim_engine": engine},
+                route_cache_size=0 if engine == "legacy" else 1024,
+            )
+            # Collect the previous run's garbage off this run's clock.
+            gc.collect()
+            started = time.perf_counter()
+            report = simulator.run(flows)
+            walls[engine].append(time.perf_counter() - started)
+            runs[engine] = (simulator, report)
+
     rows = []
-    baseline_rate = None
+    baseline_walls = walls[engines[0]]
     for engine in engines:
-        simulator = EventDrivenFlowSimulator(
-            inventory,
-            clusters,
-            engines={"sim_engine": engine},
-            route_cache_size=0 if engine == "legacy" else 1024,
-        )
-        started = time.perf_counter()
-        report = simulator.run(flows)
-        elapsed = time.perf_counter() - started
+        simulator, report = runs[engine]
+        elapsed = statistics.median(walls[engine])
         events_per_sec = report.events / elapsed if elapsed > 0 else 0.0
-        if baseline_rate is None:
-            baseline_rate = events_per_sec
         rows.append(
             {
                 "engine": engine,
@@ -1277,8 +1293,9 @@ def experiment_e19_event_throughput(
                 "events": report.events,
                 "wall_seconds": elapsed,
                 "events_per_sec": events_per_sec,
-                "speedup": (
-                    events_per_sec / baseline_rate if baseline_rate else 0.0
+                "speedup": statistics.median(
+                    base / wall if wall > 0 else 0.0
+                    for base, wall in zip(baseline_walls, walls[engine])
                 ),
                 "mean_fct": report.fct_statistics()["mean"],
                 "cache_hit_rate": (
@@ -2580,37 +2597,28 @@ def experiment_e26_dataplane_throughput(
     soak_epochs: int = 12,
     seed: int = 0,
     workers: int = 4,
-    arms: Sequence[str] = (
-        "legacy",
-        "incremental",
-        "vector",
-        "vector-batched",
-    ),
+    arms: Sequence[str] = ("legacy", "vector"),
     runner: SweepRunner | None = None,
 ) -> list[dict]:
-    """Data-plane throughput: legacy vs incremental vs vector vs sharded.
+    """Data-plane throughput: legacy vs production vs sharded.
 
     Plays one service-correlated Poisson workload (continuous arrival
     times, so every engine sees the identical event sequence) on the
-    1024-server fabric through four arms:
+    1024-server fabric through these arms:
 
-    * ``legacy`` — the pre-optimization loop, route cache off (the
-      events/sec baseline; not bit-exact, so it is sanity-checked on
-      mean FCT only);
-    * ``incremental`` — the PR 5 hot path;
-    * ``vector`` — the struct-of-arrays data plane (PR 9), pinned to
-      ``admission="per_event"`` so the batched arm's floor is honest;
-    * ``vector-batched`` — the vector engine behind the batched
-      admission pipeline (pre-resolved interned routes + the
-      class-aggregated water-filling loop);
-    * ``vector-sharded`` — the vector engine fanned out across AL
-      shards via :func:`repro.sim.sharding.simulate_sharded` (batched
-      admission inside every shard), run at both ``workers`` and
-      ``workers=1`` to pin merge determinism.
+    * ``legacy`` — the frozen pre-optimization loop, route cache off
+      (the events/sec baseline; not bit-exact, so it is sanity-checked
+      on mean FCT only);
+    * ``vector`` — the production data plane (batched admission over
+      pre-resolved interned routes + the class-aggregated water-filling
+      loop);
+    * ``vector-sharded`` — the production engine fanned out across AL
+      shards via :func:`repro.sim.sharding.simulate_sharded`, run at
+      both ``workers`` and ``workers=1`` to pin merge determinism.
 
-    ``incremental``/``vector``/``vector-batched``/``vector-sharded``
-    must agree on the CRC32 rate-trace checksum (`checksum` column) —
-    the committed ``BENCH_e26.json`` and the CI gate both assert it.
+    ``vector``/``vector-sharded`` must agree on the CRC32 rate-trace
+    checksum (`checksum` column) — the committed ``BENCH_e26.json`` and
+    the CI gate both assert it.
 
     ``arms`` selects which single-process engines run (CI drops the
     ``legacy`` arm, whose full-scale wall time is measured once into
@@ -2645,18 +2653,10 @@ def experiment_e26_dataplane_throughput(
     checksums = {}
     fcts = {}
     for arm in arms:
-        if arm == "vector-batched":
-            engines = {"sim_engine": "vector", "admission": "batched"}
-        elif arm == "vector":
-            # Pin per-event admission so the batched arm's speedup
-            # floor measures the pipeline, not the engine twice.
-            engines = {"sim_engine": "vector", "admission": "per_event"}
-        else:
-            engines = {"sim_engine": arm}
         simulator = EventDrivenFlowSimulator(
             inventory,
             clusters,
-            engines=engines,
+            engines={"sim_engine": arm},
             route_cache_size=0 if arm == "legacy" else 4096,
         )
         started = time.perf_counter()

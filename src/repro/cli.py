@@ -279,18 +279,19 @@ def _run_e25(workers: int = 1) -> dict:
     }
 
 
-@_register("e26", "Vectorized data plane: incremental vs vector arms")
+@_register("e26", "Vectorized data plane: production vs sharded arms")
 def _run_e26(workers: int = 1) -> dict:
     # Smoke sizing: the full-scale run (8000 flows, legacy arm, 1M-flow
     # soak) lives in benchmarks/BENCH_e26.json; this keeps `run e26`
-    # interactive while still exercising every arm plus the shard merge.
+    # interactive while still exercising the production arm plus the
+    # shard merge.
     return {
         "E26 — vectorized data-plane throughput (smoke sizing)": (
             experiments.experiment_e26_dataplane_throughput(
                 n_flows=1200,
                 arrival_rate=1200.0,
                 soak_flows=20_000,
-                arms=("incremental", "vector", "vector-batched"),
+                arms=("vector",),
                 workers=workers,
             )
         )

@@ -17,11 +17,11 @@ accepted by :meth:`repro.stack.AlvcStack.build`::
 
 The stack threads the config through every collaborator (cluster
 manager, AL constructor, reconfigurators, orchestrator routing,
-sweep defaults) — no process-global state is touched.  The old
-keyword arguments (``routing_engine=`` on ``build``, explicit
-``workers=``/``kernel=`` on ``run_sweep``) keep working through
-``DeprecationWarning`` shims; see the migration table in
-``docs/api_guide.md``.
+sweep defaults) — no process-global state is touched.  The per-call
+spellings that predate it (``routing_engine=``/``engine=`` on
+``build``, ``workers=``/``kernel=`` on ``run_sweep``, ``engine=`` on
+``run_workload`` and the simulator) were removed at the v1.0 cut; see
+the removal table in ``docs/api_guide.md``.
 """
 
 from __future__ import annotations
@@ -42,17 +42,16 @@ ROUTING_ENGINES = ("auto", "csr", "nx")
 SOLVER_ENGINES = ("greedy", "exact", "auto")
 
 #: Recognized event-simulator engines (see
-#: :mod:`repro.sim.event_simulator`): the incremental hot path, the
-#: from-scratch reference, the pre-optimization legacy loop, and the
-#: struct-of-arrays vectorized data plane.
-SIM_ENGINES = ("incremental", "from_scratch", "legacy", "vector")
+#: :mod:`repro.sim.event_simulator`): the struct-of-arrays production
+#: data plane and the frozen pre-optimization loop that the E19/E26
+#: speedups are measured against.
+SIM_ENGINES = ("vector", "legacy")
 
 #: Recognized admission-pipeline selectors for the event simulator
-#: (see :mod:`repro.sim.admission`): ``"auto"`` picks the batched
-#: pipeline whenever the vector data plane is selected, ``"per_event"``
-#: forces per-arrival routing/admission, ``"batched"`` requires the
-#: vector engine and fails validation otherwise.
-ADMISSION_MODES = ("auto", "per_event", "batched")
+#: (see :mod:`repro.sim.admission`).  Both name the one production
+#: pipeline — routes pre-resolved in bulk and admitted by indexed
+#: appends; ``"batched"`` spells it out and requires the vector engine.
+ADMISSION_MODES = ("auto", "batched")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -75,18 +74,16 @@ class EngineConfig:
             Unlike the other selectors this one *can* change results —
             exact solutions may beat the greedy — so the default stays
             on the heuristic path.
-        sim_engine: event-simulator loop/fair-share engine —
-            ``"incremental"`` (default hot path), ``"from_scratch"``
-            (reference fair share, same loop), ``"legacy"`` (the
-            pre-optimization loop) or ``"vector"`` (the struct-of-arrays
-            data plane; bit-identical reports to the incremental
-            engine).
+        sim_engine: event-simulator engine — ``"vector"`` (default:
+            the struct-of-arrays data plane with class-aggregated
+            water filling) or ``"legacy"`` (the frozen pre-optimization
+            loop, kept as the E19/E26 speedup baseline).
         admission: event-simulator admission pipeline — ``"auto"``
-            (default: batched whenever ``sim_engine`` is ``"vector"``),
-            ``"per_event"`` (route and admit each arrival inside the
-            event loop) or ``"batched"`` (pre-resolve routes in bulk,
-            admit via indexed appends; bit-identical reports, requires
-            the vector engine).
+            (default) or ``"batched"``; both select the one production
+            pipeline, ``"batched"`` additionally insists on the vector
+            engine.  Load-aware simulators still pick each arrival's
+            path at its event, because the pick reads instantaneous
+            link loads.
         workers: default worker-process count for seeded sweeps
             (``1`` runs fully in-process).
     """
@@ -94,7 +91,7 @@ class EngineConfig:
     cover_kernel: str = "auto"
     routing: str = "auto"
     solver: str = "greedy"
-    sim_engine: str = "incremental"
+    sim_engine: str = "vector"
     admission: str = "auto"
     workers: int = 1
 

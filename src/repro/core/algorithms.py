@@ -39,7 +39,7 @@ materializing each step's ``newly_covered`` trace from a mask costs a
 Python-level per-bit decode loop that C-level frozenset intersections
 beat at every measured size/density — so ``auto`` keeps them on the
 set kernel, while ``kernel="bitset"`` (or
-:func:`set_default_kernel`\ ``("bitset")``) remains fully supported
+``set_default_kernel("bitset")``) remains fully supported
 and parity-tested on all three.
 """
 

@@ -26,6 +26,7 @@ import contextlib
 from pathlib import Path
 from typing import Iterable
 
+from repro.config import EngineConfig
 from repro.exceptions import JournalCorruptError, JournalError, SnapshotError
 from repro.service.journal import NULL_RECORDER, read_journal
 from repro.service.records import (
@@ -34,6 +35,49 @@ from repro.service.records import (
     policy_from_spec,
 )
 from repro.service.snapshot import load_snapshot
+
+#: Engine selector values that journals written before the v1.0 cut may
+#: carry in their genesis ``engines`` dict, folded to the survivor.  Every
+#: retired engine and admission mode produced bit-identical reports, so
+#: the fold changes no restored state.
+RETIRED_ENGINE_VALUES = {
+    "sim_engine": {"incremental": "vector", "from_scratch": "vector"},
+    "admission": {"per_event": "auto"},
+}
+
+
+def fold_retired_engines(engines: dict) -> dict:
+    """An ``EngineConfig`` mapping with retired selector values folded
+    to the ones that replaced them."""
+    return {
+        key: RETIRED_ENGINE_VALUES.get(key, {}).get(value, value)
+        for key, value in engines.items()
+    }
+
+
+def genesis_build_args(record: OpRecord) -> dict:
+    """The ``AlvcStack.build`` kwargs of a genesis record, with retired
+    engine selector values folded (see :func:`fold_retired_engines`)."""
+    build = dict(record.data["build"])
+    engines = build.get("engines")
+    if isinstance(engines, dict):
+        build["engines"] = fold_retired_engines(engines)
+    return build
+
+
+def _fold_snapshot_engines(stack) -> None:
+    """Fold retired selector values out of an unpickled stack's config.
+
+    Unpickling skips ``EngineConfig`` validation, so a snapshot written
+    before the v1.0 cut brings its retired values back verbatim; the
+    stack and its orchestrator then share the folded config instead.
+    """
+    saved = stack.engines.to_dict()
+    folded = fold_retired_engines(saved)
+    if folded != saved:
+        config = EngineConfig(**folded)
+        stack._engines = config
+        stack.orchestrator._engines = config
 
 
 def _apply_provision(stack, data: dict) -> None:
@@ -227,6 +271,7 @@ def restore_stack(
             snapshot_error = str(exc)
         else:
             stack = loaded.stack
+            _fold_snapshot_engines(stack)
             start_seq = loaded.journal_seq
             source = "snapshot"
 
@@ -238,7 +283,7 @@ def restore_stack(
             )
         from repro.stack import AlvcStack
 
-        stack = AlvcStack.build(**records[0].data["build"])
+        stack = AlvcStack.build(**genesis_build_args(records[0]))
         start_seq = 1
 
     tail = [record for record in records if record.seq >= start_seq]

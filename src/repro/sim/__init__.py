@@ -19,15 +19,21 @@ from repro.sim.event_simulator import (
     EventSimulationReport,
 )
 from repro.sim.events import EventQueue, Simulator
-from repro.sim.fairshare import FairShareEngine, max_min_fair_rates
+from repro.sim.fairshare import certify_max_min, max_min_fair_rates
 from repro.sim.flows import Flow
 from repro.sim.metrics import MetricsCollector
 from repro.sim.sharding import ShardPlan, simulate_sharded
 from repro.sim.simulator import FlowSimulator, SimulationReport
 from repro.sim.traffic import TrafficConfig, TrafficGenerator
-from repro.sim.vector import FlowTable, LinkBusyView, VectorFairShareEngine
+from repro.sim.vector import (
+    BatchedFairShareEngine,
+    FlowTable,
+    LinkBusyView,
+    VectorFairShareEngine,
+)
 
 __all__ = [
+    "BatchedFairShareEngine",
     "ChainFlowRecord",
     "ChainTrafficReport",
     "ChainTrafficSimulator",
@@ -35,7 +41,6 @@ __all__ = [
     "EventDrivenFlowSimulator",
     "EventQueue",
     "EventSimulationReport",
-    "FairShareEngine",
     "Flow",
     "FlowSimulator",
     "FlowTable",
@@ -47,6 +52,7 @@ __all__ = [
     "TrafficConfig",
     "TrafficGenerator",
     "VectorFairShareEngine",
+    "certify_max_min",
     "max_min_fair_rates",
     "simulate_sharded",
 ]

@@ -9,22 +9,23 @@ source, and intern the resolved paths plus their link-index arrays so
 admitting a flow becomes an indexed bulk append into the
 :class:`~repro.sim.vector.FlowTable`.
 
-**The parity contract.**  Batched admission must produce bit-identical
-reports to per-event admission.  A single-source shortest-path tree is
+**The parity contract.**  Batched admission must pick exactly the
+routes per-arrival routing picks (the legacy loop routes every arrival
+at its event).  A single-source shortest-path tree is
 independent of which targets are queried, so ``routes_from(s, [t])[t]
 == routes_from(s, T)[t]`` for any target set ``T`` containing ``t`` —
 but the *pairwise* bidirectional search may legitimately break
 equal-length ties differently than the tree (documented since the CSR
-engine landed).  Both admission modes therefore resolve through the
-same tree-canonical helper, :func:`resolve_tree_path`: per-event
-admission calls it once per cache miss, the batched planner calls the
-underlying fan-out once per unique source.  Parity between the modes
-is structural, not coincidental.
+engine landed).  Both therefore resolve through the same
+tree-canonical helper, :func:`resolve_tree_path`: per-arrival routing
+calls it once per cache miss, the batched planner calls the underlying
+fan-out once per unique source.  Parity between the two is structural,
+not coincidental.
 
 Interned routes can never go stale while they are used: arrivals
 during an active failure (non-empty failed-node / cut-link sets)
 bypass the plan entirely via the uncached surviving-path fallback —
-exactly as the per-event loop does — and whenever the failure sets are
+exactly as per-arrival routing does — and whenever the failure sets are
 empty the topology equals the full fabric the plan resolved against.
 :meth:`RoutePlan.invalidate_crossing` (mirroring
 :meth:`repro.sdn.route_cache.RouteCache.invalidate_crossing`) still
@@ -185,7 +186,7 @@ class AdmissionPlan:
         One single-BFS fan-out per call; unreachable destinations are
         interned as :data:`NO_PLAN_ROUTE`.  AL-restricted resolution
         falls back to the flat fabric per destination when the layer
-        does not connect the pair — mirroring the per-event loop's
+        does not connect the pair — mirroring per-arrival routing's
         AL-then-flat retry.
         """
         targets = [
@@ -206,7 +207,7 @@ class AdmissionPlan:
                 )
             except RoutingError:
                 # An endpoint violates the layer: the group fan-out
-                # aborts wholesale, but the per-event loop retries each
+                # aborts wholesale, but per-arrival routing retries each
                 # pair individually (AL first, then flat).  Mirror that
                 # per target so only the violating pairs fall through.
                 resolved = {}

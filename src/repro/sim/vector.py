@@ -1,10 +1,9 @@
 """Struct-of-arrays data plane: vectorized max-min fair sharing.
 
-The dict-based :class:`~repro.sim.fairshare.FairShareEngine` touches one
-python object per flow-link incidence on every recompute, which caps the
-event simulator at a few thousand concurrent flows.  This module moves
-all per-flow state into numpy arrays so a water-filling recompute is a
-handful of whole-array operations:
+A per-flow python water-fill touches one object per flow-link incidence
+on every recompute, which caps the event simulator at a few thousand
+concurrent flows.  This module keeps all per-flow state in numpy arrays
+so a water-filling recompute is a handful of whole-array operations:
 
 * :class:`FlowTable` — the struct-of-arrays flow ledger.  Rates,
   remaining demand, projected completion times and last-materialization
@@ -18,28 +17,28 @@ handful of whole-array operations:
 * :class:`VectorFairShareEngine` — water-filling over the table.  One
   round is: a masked ``remaining / load`` ratio over the loaded links, a
   single ``min``/``argmin`` for the bottleneck (ties broken by a
-  precomputed lexicographic link rank, replicating the dict engine's
+  precomputed lexicographic link rank, replicating the reference's
   ``sorted(link)`` tie-break), a batch freeze of the bottleneck's
   unfrozen members from a per-recompute link→flows transpose, and an
   unbuffered ``np.subtract.at`` over the frozen members' incidences.
   ``np.subtract.at`` performs the duplicate-index subtractions
   *sequentially*, so a link crossed by ``k`` freezing flows sees exactly
-  the ``k`` IEEE subtractions the dict engine performs — and because
+  the ``k`` IEEE subtractions the reference performs — and because
   every subtraction in a round removes the *same* share, deferring the
   zero-clamp to one ``np.maximum`` per round is bit-identical to the
-  dict engine's per-subtraction clamp (once a value goes negative,
+  reference's per-subtraction clamp (once a value goes negative,
   further subtractions keep it negative and both paths clamp to
   ``+0.0``).  The result is **bit-for-bit** the rates of
-  :class:`~repro.sim.fairshare.FairShareEngine` /
   :func:`~repro.sim.fairshare.max_min_fair_rates`, which the seeded
   parity suite asserts on randomized instances.
+* :class:`BatchedFairShareEngine` — the production engine: the same
+  rounds over interned route classes instead of individual flows.
 * :class:`LinkBusyView` — a lazy mapping over the simulator's per-link
   busy accumulator array, so a million-flow report never materializes a
   per-link python dict just to compute utilization.
 
 Telemetry: each recompute observes its round count in the
-``alvc_fairshare_vector_rounds`` histogram (the vectorized sibling of
-``alvc_fairshare_rounds``).
+``alvc_fairshare_vector_rounds`` histogram.
 """
 
 from __future__ import annotations
@@ -270,8 +269,7 @@ class FlowTable:
         """Concatenated link indices of ``slots`` plus per-slot lengths.
 
         The concatenation preserves ``slots`` order and, within a slot,
-        path order — the iteration order the dict engine charges links
-        in.
+        path order — the order the legacy loop charges links in.
         """
         if len(slots) == 0:
             return _EMPTY_I32, _EMPTY_I64
@@ -445,11 +443,11 @@ class LinkBusyView(Mapping):
 class VectorFairShareEngine:
     """Vectorized max-min water-filling over a :class:`FlowTable`.
 
-    Drop-in sibling of :class:`~repro.sim.fairshare.FairShareEngine`
-    with the same incremental API (``add_flow`` / ``remove_flow`` /
-    ``remove_link`` / ``set_capacity``) and **bit-identical** rates —
-    see the module docstring for why the whole-array round replicates
-    the dict engine's arithmetic exactly.  :meth:`recompute` returns a
+    An incremental API (``add_flow`` / ``remove_flow`` /
+    ``remove_link`` / ``set_capacity``) with rates **bit-identical** to
+    :func:`~repro.sim.fairshare.max_min_fair_rates` — see the module
+    docstring for why the whole-array round replicates the reference's
+    arithmetic exactly.  :meth:`recompute` returns a
     dense ``float64`` array indexed by table slot (``0.0`` for dead
     slots, ``inf`` for live flows with no links); :meth:`rates_by_flow`
     offers the dict-shaped spelling for parity tests.
@@ -660,7 +658,7 @@ class VectorFairShareEngine:
     # ------------------------------------------------------------------
     def _rank_order(self) -> np.ndarray:
         """Link indices in lexicographic ``sorted(link)`` order — the
-        dict engine's tie-break order, cached until a link is added."""
+        reference's tie-break order, cached until a link is added."""
         if self._rank is None or self._rank.shape[0] != len(self._link_ids):
             self._rank = np.array(
                 sorted(
@@ -675,8 +673,8 @@ class VectorFairShareEngine:
         """Max-min fair rate per table slot.
 
         Bit-for-bit identical to
-        :meth:`repro.sim.fairshare.FairShareEngine.recompute` on the
-        same flows and capacities.
+        :func:`repro.sim.fairshare.max_min_fair_rates` on the same
+        flows and capacities.
         """
         table = self._table
         size = table.size
@@ -698,7 +696,7 @@ class VectorFairShareEngine:
         # Compress to the loaded links so a round costs O(loaded), not
         # O(all links), and order them by lexicographic rank: with the
         # compressed arrays in rank order, ``np.argmin``'s
-        # first-occurrence rule IS the dict engine's exact-tie
+        # first-occurrence rule IS the reference's exact-tie
         # tie-break (lowest sort key among equal ratios) — one call
         # replaces the min/candidates/rank-argmin cascade.
         perm = self._rank_order()
@@ -729,7 +727,7 @@ class VectorFairShareEngine:
         ratio = np.empty(n_loaded)
         # A flow that crosses some link twice (a cycle in its path)
         # appears twice in that link's transpose segment but must
-        # freeze exactly once, like the dict engine's member *dict*.
+        # freeze exactly once, as in the reference's unfrozen-flow dict.
         # Dedup inside the round is safe — every member gets the same
         # share and per-link subtraction counts don't depend on member
         # order — but it costs an ``np.unique`` per round, so it is
@@ -804,7 +802,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
     rank-ordered argmin — and all subtractions in a round remove the
     *same* share, so regrouping a bottleneck's member flows by class
     only permutes same-valued subtractions across positions; each link
-    position still sees exactly the dict engine's subtraction sequence.
+    position still sees exactly the reference's subtraction sequence.
     The per-class rate gathered back through the class map is the same
     assignment the per-flow freeze performs.  Slots carrying duplicate
     links (cyclic paths) or missing a class (flows added behind the

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import warnings
 from pathlib import Path
 from typing import Sequence
 
-from repro.config import SIM_ENGINES, EngineConfig
+from repro.config import EngineConfig
 from repro.core.chaining import ChainRequest, NetworkFunctionChain
 from repro.core.cluster import VirtualCluster
 from repro.core.orchestrator import (
@@ -113,8 +112,6 @@ class AlvcStack:
         merge_consecutive: bool = False,
         exclusive_chains: bool = True,
         host_policy: HostPolicy | str | None = None,
-        routing_engine: str | None = None,
-        engine: str | None = None,
         admission: str | None = None,
         engines: EngineConfig | dict | None = None,
         journal: Journal | str | Path | None = None,
@@ -144,26 +141,13 @@ class AlvcStack:
                 through to :class:`NetworkOrchestrator` (``host_policy``
                 also accepts the enum's string value, e.g.
                 ``"first_fit"``).
-            routing_engine: path-computation backend
-                (``"auto"``/``"csr"``/``"nx"``).
-
-                .. deprecated:: PR 6
-                    Use ``engines=EngineConfig(routing=...)``; this
-                    keyword is scheduled for removal two releases after
-                    the durable service ships (the v1.0 cut).
-            engine: simulation-engine selector.
-
-                .. deprecated:: PR 10
-                    Use ``engines=EngineConfig(sim_engine=...)``; the
-                    bare kwarg warns and is scheduled for removal at
-                    the v1.0 cut.
             admission: event-simulator admission pipeline
-                (``"auto"``/``"per_event"``/``"batched"``, see
+                (``"auto"``/``"batched"``, see
                 :mod:`repro.sim.admission`); shorthand for
                 ``engines=EngineConfig(admission=...)``.
             engines: typed :class:`~repro.config.EngineConfig` (or a
-                mapping / routing-engine string coercible to one)
-                selecting the cover kernel, routing engine and default
+                mapping coercible to one) selecting the cover kernel,
+                routing engine, solver, simulation engine and default
                 sweep worker count in one place.
             journal: a :class:`~repro.service.Journal` (or a path to
                 one) that records every state-mutating call on this
@@ -188,49 +172,7 @@ class AlvcStack:
                 :func:`~repro.topology.generators.build_alvc_fabric`
                 (e.g. ``tor_uplinks``, ``dual_homing_fraction``).
         """
-        if routing_engine is not None:
-            warnings.warn(
-                "AlvcStack.build(routing_engine=...) is deprecated; use "
-                "engines=EngineConfig(routing=...). Scheduled for "
-                "removal two releases after the durable service ships "
-                "(the v1.0 cut).",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         engine_config = EngineConfig.coerce(engines)
-        if routing_engine is not None and routing_engine != "auto":
-            if engine_config.routing not in ("auto", routing_engine):
-                raise ValidationError(
-                    "conflicting routing engines: routing_engine="
-                    f"{routing_engine!r} vs engines.routing="
-                    f"{engine_config.routing!r}"
-                )
-            engine_config = dataclasses.replace(
-                engine_config, routing=routing_engine
-            )
-        if engine is not None:
-            warnings.warn(
-                "AlvcStack.build(engine=...) is deprecated; use "
-                "engines=EngineConfig(sim_engine=...). Scheduled for "
-                "removal at the v1.0 cut.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if engine not in SIM_ENGINES:
-                raise ValidationError(
-                    f"unknown simulation engine {engine!r} "
-                    f"(expected one of {', '.join(SIM_ENGINES)})"
-                )
-            if engine != "incremental":
-                if engine_config.sim_engine not in ("incremental", engine):
-                    raise ValidationError(
-                        "conflicting simulation engines: engine="
-                        f"{engine!r} vs engines.sim_engine="
-                        f"{engine_config.sim_engine!r}"
-                    )
-                engine_config = dataclasses.replace(
-                    engine_config, sim_engine=engine
-                )
         if admission is not None:
             # replace() re-validates, so unknown modes and
             # batched-on-non-vector combinations fail loudly here.
@@ -775,16 +717,15 @@ class AlvcStack:
         trial,
         params: Sequence,
         *,
-        workers: int | None = None,
         chunk_size: int | None = None,
-        kernel: str | None = None,
     ) -> list:
         """Shard a seeded experiment sweep across worker processes.
 
         A facade veneer over :class:`repro.parallel.SweepRunner`, wired
         to this stack's telemetry: per-worker metrics roll up into
-        :attr:`telemetry`, and ``workers=1`` (the default) runs trials
-        inline under it with no multiprocessing machinery.
+        :attr:`telemetry`.  Worker count and cover kernel come from this
+        stack's :attr:`engines` (``workers``/``cover_kernel``); one
+        worker runs trials inline with no multiprocessing machinery.
 
         ``trial`` must be a **top-level picklable callable** over
         picklable parameters — the ``_fig4_cell``-style trial functions
@@ -795,44 +736,19 @@ class AlvcStack:
         Args:
             trial: top-level callable run once per parameter.
             params: the seeded parameter grid.
-            workers: worker process count (1 = inline); defaults to
-                this stack's :attr:`engines` ``workers``.
-
-                .. deprecated:: PR 6
-                    Configure via ``build(engines=EngineConfig(
-                    workers=...))``; the per-call override is scheduled
-                    for removal two releases after the durable service
-                    ships (the v1.0 cut).
             chunk_size: trials per worker task (defaults to an even
                 split, four chunks per worker).
-            kernel: cover kernel forced inside every trial; defaults to
-                this stack's :attr:`engines` ``cover_kernel``.
-
-                .. deprecated:: PR 6
-                    Configure via ``build(engines=EngineConfig(
-                    cover_kernel=...))``; same removal schedule as
-                    ``workers``.
 
         Returns:
             One result per parameter, in ``params`` order.
         """
         from repro.parallel import SweepRunner
 
-        if workers is not None or kernel is not None:
-            warnings.warn(
-                "AlvcStack.run_sweep(workers=/kernel=) overrides are "
-                "deprecated; configure AlvcStack.build(engines="
-                "EngineConfig(workers=..., cover_kernel=...)) instead. "
-                "Scheduled for removal two releases after the durable "
-                "service ships (the v1.0 cut).",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         runner = SweepRunner(
-            workers=workers if workers is not None else self._engines.workers,
+            workers=self._engines.workers,
             chunk_size=chunk_size,
             telemetry=self.telemetry,
-            kernel=kernel if kernel is not None else self._engines.cover_kernel,
+            kernel=self._engines.cover_kernel,
         )
         return runner.map(trial, params)
 
@@ -844,7 +760,6 @@ class AlvcStack:
         config=None,
         admission=None,
         scaling=None,
-        engine: str | None = None,
         chaos_rate: float = 0.0,
         chaos_repair_after: float | None = 2.0,
         storm_period: int = 0,
@@ -872,38 +787,9 @@ class AlvcStack:
         (tenant accept/reject), not the simulator's admission
         pipeline — configure that on
         :meth:`build` (``admission=``/``engines=``).
-
-        .. deprecated:: PR 10
-            ``engine=`` is a deprecated selector spelling: configure
-            engines on :meth:`build` (``engines=EngineConfig(...)``).
-            The kwarg warns, validates, and must agree with the
-            stack's configured simulation engine.
         """
         from repro.workload import WorkloadRunner, generate_scenario
 
-        if engine is not None:
-            warnings.warn(
-                "AlvcStack.run_workload(engine=...) is deprecated; "
-                "configure AlvcStack.build(engines="
-                "EngineConfig(sim_engine=...)). Scheduled for removal "
-                "at the v1.0 cut.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if engine not in SIM_ENGINES:
-                raise ValidationError(
-                    f"unknown simulation engine {engine!r} "
-                    f"(expected one of {', '.join(SIM_ENGINES)})"
-                )
-            configured = self.engines.sim_engine
-            if engine != "incremental" and configured not in (
-                "incremental",
-                engine,
-            ):
-                raise ValidationError(
-                    "conflicting simulation engines: engine="
-                    f"{engine!r} vs engines.sim_engine={configured!r}"
-                )
         if scenario is None:
             scenario = generate_scenario(config, seed=seed)
         elif config is not None:

@@ -129,7 +129,7 @@ class TestLifecycle:
     def test_delete_cleans_everything(self, orchestrator):
         live = orchestrator.provision_chain(make_request(("firewall", "dpi")))
         pool_before = orchestrator.nfv_manager.pool.total_free()
-        orchestrator.delete_chain(live.chain_id)
+        orchestrator.teardown_chain(live.chain_id)
         assert orchestrator.chains() == []
         assert orchestrator.sdn.total_rules() == 0
         assert not orchestrator.sdn.has_flow(live.chain_id)
@@ -143,12 +143,12 @@ class TestLifecycle:
 
     def test_delete_unknown_raises(self, orchestrator):
         with pytest.raises(UnknownEntityError):
-            orchestrator.delete_chain("chain-9")
+            orchestrator.teardown_chain("chain-9")
 
     def test_action_log_order(self, orchestrator):
         live = orchestrator.provision_chain(make_request())
         orchestrator.upgrade_chain(live.chain_id)
-        orchestrator.delete_chain(live.chain_id)
+        orchestrator.teardown_chain(live.chain_id)
         actions = [action for action, _ in orchestrator.action_log()]
         assert actions == ["provision", "upgrade", "delete"]
 
@@ -198,7 +198,7 @@ class TestSharedSliceMode:
     def test_slice_survives_partial_deletion(self, shared):
         shared.provision_chain(make_request(chain_id="chain-a"))
         shared.provision_chain(make_request(("nat",), chain_id="chain-b"))
-        shared.delete_chain("chain-a")
+        shared.teardown_chain("chain-a")
         assert len(shared.slice_allocator.slices()) == 1
         # The remaining chain is still live and addressable.
         assert shared.chain("chain-b")
@@ -206,8 +206,8 @@ class TestSharedSliceMode:
     def test_slice_released_with_last_chain(self, shared):
         shared.provision_chain(make_request(chain_id="chain-a"))
         shared.provision_chain(make_request(("nat",), chain_id="chain-b"))
-        shared.delete_chain("chain-a")
-        shared.delete_chain("chain-b")
+        shared.teardown_chain("chain-a")
+        shared.teardown_chain("chain-b")
         assert shared.slice_allocator.slices() == []
         # A fresh chain re-allocates cleanly.
         shared.provision_chain(make_request(chain_id="chain-c"))

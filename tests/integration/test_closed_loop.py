@@ -106,7 +106,7 @@ class TestTrafficDrivenAutoscaling:
                     service="map-reduce",
                 )
             )
-        guard.delete_chain(first.chain_id)
+        guard.teardown_chain(first.chain_id)
         assert registry.usage_of("tenant-a").chains == 1
         guard.provision_chain(
             ChainRequest(

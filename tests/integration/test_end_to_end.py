@@ -158,7 +158,7 @@ class TestTeardown:
             ),
             algorithm=PlacementAlgorithm.GREEDY,
         )
-        orchestrator.delete_chain(live.chain_id)
+        orchestrator.teardown_chain(live.chain_id)
         orchestrator.cluster_manager.dissolve_cluster("web")
 
         assert orchestrator.nfv_manager.pool.total_free() == pool_before
@@ -190,5 +190,5 @@ class TestTeardown:
                     service="web",
                 )
             )
-            orchestrator.delete_chain(live.chain_id)
+            orchestrator.teardown_chain(live.chain_id)
         assert orchestrator.chains() == []

@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.fairshare import link_of, max_min_fair_rates
+from repro.sim.fairshare import certify_max_min, link_of, max_min_fair_rates
+from repro.sim.vector import BatchedFairShareEngine
 
 _LINKS = [link_of(f"n{i}", f"n{i+1}") for i in range(6)]
 
@@ -101,3 +102,20 @@ def test_scaling_capacities_scales_rates(allocation, factor):
         assert abs(scaled[flow] - base[flow] * factor) < 1e-5 * max(
             1.0, base[flow] * factor
         )
+
+
+@given(allocations())
+@settings(max_examples=100, deadline=None)
+def test_reference_allocation_certifies(allocation):
+    flows, capacities = allocation
+    certify_max_min(max_min_fair_rates(flows, capacities), flows, capacities)
+
+
+@given(allocations())
+@settings(max_examples=100, deadline=None)
+def test_production_engine_matches_reference_bit_for_bit(allocation):
+    flows, capacities = allocation
+    engine = BatchedFairShareEngine(capacities)
+    for flow, links in flows.items():
+        engine.add_flow(flow, links)
+    assert engine.rates_by_flow() == max_min_fair_rates(flows, capacities)

@@ -89,7 +89,7 @@ class OrchestratorMachine(RuleBasedStateMachine):
     def delete(self, pick):
         live = self.orchestrator.chains()
         target = live[pick % len(live)]
-        self.orchestrator.delete_chain(target.chain_id)
+        self.orchestrator.teardown_chain(target.chain_id)
 
     @precondition(lambda self: self.orchestrator.chains())
     @rule(pick=st.integers(min_value=0, max_value=10**6))

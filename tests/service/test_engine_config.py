@@ -2,7 +2,8 @@
 
 The satellite that unifies the organically-grown ``kernel=`` /
 ``engine=`` / ``routing_engine=`` / ``workers=`` knobs behind one typed
-config — and keeps the old spellings working through deprecation shims.
+config.  The old per-call spellings were removed at the v1.0 cut;
+journals written before it still restore.
 """
 
 import warnings
@@ -26,7 +27,7 @@ class TestValidation:
         config = EngineConfig()
         assert config.cover_kernel == "auto"
         assert config.routing == "auto"
-        assert config.sim_engine == "incremental"
+        assert config.sim_engine == "vector"
         assert config.workers == 1
 
     @pytest.mark.parametrize(
@@ -37,11 +38,14 @@ class TestValidation:
             ({"sim_engine": "warp"}, "unknown simulation engine"),
             ({"admission": "psychic"}, "unknown admission mode"),
             (
-                {"admission": "batched"},
+                {"sim_engine": "legacy", "admission": "batched"},
                 "requires sim_engine='vector'",
             ),
             ({"workers": 0}, "workers"),
             ({"workers": 2.5}, "workers"),
+            ({"sim_engine": "incremental"}, "expected one of vector"),
+            ({"sim_engine": "from_scratch"}, "expected one of vector"),
+            ({"admission": "per_event"}, "unknown admission mode"),
         ],
     )
     def test_bad_values_rejected(self, kwargs, match):
@@ -49,20 +53,14 @@ class TestValidation:
             EngineConfig(**kwargs)
 
     def test_admission_modes(self):
-        assert ADMISSION_MODES == ("auto", "per_event", "batched")
+        assert ADMISSION_MODES == ("auto", "batched")
         assert EngineConfig().admission == "auto"
         config = EngineConfig(sim_engine="vector", admission="batched")
         assert config.admission == "batched"
-        for mode in ("auto", "per_event"):
-            assert EngineConfig(admission=mode).admission == mode
+        assert EngineConfig(sim_engine="legacy").admission == "auto"
 
     def test_known_sim_engines_all_construct(self):
-        assert SIM_ENGINES == (
-            "incremental",
-            "from_scratch",
-            "legacy",
-            "vector",
-        )
+        assert SIM_ENGINES == ("vector", "legacy")
         for engine in SIM_ENGINES:
             assert EngineConfig(sim_engine=engine).sim_engine == engine
 
@@ -139,28 +137,50 @@ class TestStackThreading:
 
 
 class TestDeprecatedSpellings:
-    def test_routing_engine_kwarg_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="routing_engine"):
-            stack = AlvcStack.build(routing_engine="csr", **BUILD)
-        assert stack.engines.routing == "csr"
+    """The pre-v1.0 per-call spellings are gone; the engines-driven
+    behaviour they deferred to remains."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: AlvcStack.build(routing_engine="csr", **BUILD),
+            lambda: AlvcStack.build(engine="vector", **BUILD),
+            lambda: AlvcStack.build(**BUILD).run_sweep(
+                _square, [1], workers=1
+            ),
+            lambda: AlvcStack.build(**BUILD).run_sweep(
+                _square, [1], kernel="set"
+            ),
+            lambda: AlvcStack.build(**BUILD).run_workload(engine="vector"),
+            lambda: AlvcStack.build(**BUILD).orchestrator.delete_chain(
+                "chain-0"
+            ),
+        ],
+        ids=[
+            "build-routing_engine",
+            "build-engine",
+            "run_sweep-workers",
+            "run_sweep-kernel",
+            "run_workload-engine",
+            "delete_chain",
+        ],
+    )
+    def test_removed_spellings_fail_loudly(self, call):
+        with pytest.raises((TypeError, AttributeError)):
+            call()
 
     def test_conflicting_selectors_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValidationError, match="conflicting"):
-                AlvcStack.build(
-                    routing_engine="csr",
-                    engines=EngineConfig(routing="nx"),
-                    **BUILD,
-                )
+        # The orchestrator keeps its own routing_engine= constructor
+        # knob; it must agree with the EngineConfig it is handed.
+        from repro.core.orchestrator import NetworkOrchestrator
 
-    def test_run_sweep_overrides_warn(self):
         stack = AlvcStack.build(**BUILD)
-        with pytest.warns(DeprecationWarning, match="run_sweep"):
-            results = stack.run_sweep(_square, [1, 2, 3], workers=1)
-        assert results == [1, 4, 9]
-        with pytest.warns(DeprecationWarning, match="run_sweep"):
-            stack.run_sweep(_square, [2], kernel="set")
+        with pytest.raises(ValidationError, match="conflicting"):
+            NetworkOrchestrator(
+                stack.inventory,
+                routing_engine="csr",
+                engines=EngineConfig(routing="nx"),
+            )
 
     def test_run_sweep_defaults_from_engines(self):
         stack = AlvcStack.build(
@@ -170,68 +190,27 @@ class TestDeprecatedSpellings:
             warnings.simplefilter("error", DeprecationWarning)
             assert stack.run_sweep(_square, [4]) == [16]
 
-    def test_build_engine_kwarg_warns_and_maps(self):
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"AlvcStack\.build\(engine=\.\.\.\) is deprecated",
-        ):
-            stack = AlvcStack.build(engine="vector", **BUILD)
-        assert stack.engines.sim_engine == "vector"
-
-    def test_build_engine_kwarg_rejects_unknown_and_conflicts(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValidationError, match="unknown simulation"):
-                AlvcStack.build(engine="warp", **BUILD)
-            with pytest.raises(ValidationError, match="conflicting"):
-                AlvcStack.build(
-                    engine="vector",
-                    engines=EngineConfig(sim_engine="legacy"),
-                    **BUILD,
-                )
-
-    def test_run_workload_engine_kwarg_warns_and_validates(self):
-        from repro.workload import ScenarioConfig
-
-        stack = AlvcStack.build(exclusive_chains=False, **BUILD)
-        config = ScenarioConfig(
-            days=1, epochs_per_day=2, arrival_rate=1.0
-        )
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"run_workload\(engine=\.\.\.\) is deprecated",
-        ) as caught:
-            stack.run_workload(seed=0, config=config, engine="incremental")
-        assert any(
-            issubclass(record.category, DeprecationWarning)
-            and "EngineConfig(sim_engine=...)" in str(record.message)
-            for record in caught
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValidationError, match="unknown simulation"):
-                stack.run_workload(seed=0, config=config, engine="warp")
-        vector_stack = AlvcStack.build(
-            exclusive_chains=False,
-            engines={"sim_engine": "vector"},
-            **BUILD,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValidationError, match="conflicting"):
-                vector_stack.run_workload(
-                    seed=0, config=config, engine="legacy"
-                )
-
     def test_build_admission_kwarg_folds_into_engines(self):
-        stack = AlvcStack.build(
-            admission="batched",
-            engines={"sim_engine": "vector"},
-            **BUILD,
-        )
+        stack = AlvcStack.build(admission="batched", **BUILD)
         assert stack.engines.admission == "batched"
+        assert stack.engines.sim_engine == "vector"
         with pytest.raises(ValidationError, match="requires sim_engine"):
-            AlvcStack.build(admission="batched", **BUILD)
+            AlvcStack.build(
+                admission="batched",
+                engines={"sim_engine": "legacy"},
+                **BUILD,
+            )
+
+
+#: Engine selector values that only journals and snapshots written
+#: before the v1.0 cut carry.
+RETIRED = [
+    {"sim_engine": "incremental"},
+    {"sim_engine": "from_scratch"},
+    {"sim_engine": "incremental", "admission": "per_event"},
+    {"sim_engine": "vector", "admission": "per_event"},
+    {"sim_engine": "legacy", "admission": "per_event"},
+]
 
 
 class TestJournalIntegration:
@@ -250,6 +229,75 @@ class TestJournalIntegration:
         with ControlPlaneService.open(tmp_path / "state", sync="off") as r:
             # Restore rebuilds the stack on the same engines.
             assert r.stack.engines == config
+
+    @pytest.mark.parametrize(
+        "retired", RETIRED, ids=lambda retired: "-".join(retired.values())
+    )
+    def test_retired_engine_names_restore(self, tmp_path, retired):
+        """Journals written before the v1.0 cut name engines that no
+        longer exist; they restore to the same control plane."""
+        from repro.service import read_journal, restore_stack
+        from repro.service.journal import Journal
+        from repro.service.snapshot import state_digest
+
+        live = AlvcStack.build(
+            journal=tmp_path / "live.alvc", sync="off", **BUILD
+        )
+        live.provision(("firewall", "nat"), service="web")
+        live.provision(("nat",), service="sns")
+        live.journal.close()
+        records = read_journal(tmp_path / "live.alvc").records
+        genesis = records[0].data["build"]
+        engines = {**genesis["engines"], **retired}
+        with Journal(tmp_path / "old.alvc", sync="off") as old:
+            old.append("genesis", {"build": {**genesis, "engines": engines}})
+            for record in records[1:]:
+                old.append(record.op, record.data, nested=record.nested)
+
+        restored = restore_stack(tmp_path / "old.alvc").stack
+        assert restored.engines.sim_engine in ("vector", "legacy")
+        assert restored.engines.admission == "auto"
+        assert state_digest(restored) == state_digest(live)
+        fresh = AlvcStack.build(**BUILD)
+        fresh.provision(("firewall", "nat"), service="web")
+        fresh.provision(("nat",), service="sns")
+        assert state_digest(restored) == state_digest(fresh)
+
+    @pytest.mark.parametrize(
+        "retired", RETIRED, ids=lambda retired: "-".join(retired.values())
+    )
+    def test_retired_engine_names_in_snapshot_fold(self, tmp_path, retired):
+        """A snapshot pickles the stack's config unvalidated, so one
+        written before the v1.0 cut restores with its retired values
+        folded, on the stack and its orchestrator alike."""
+        import dataclasses
+
+        from repro.service import restore_stack
+        from repro.service.snapshot import state_digest, write_snapshot
+
+        live = AlvcStack.build(
+            journal=tmp_path / "journal.alvc", sync="off", **BUILD
+        )
+        live.provision(("firewall", "nat"), service="web")
+        config = live.engines
+        for key, value in retired.items():
+            object.__setattr__(config, key, value)
+        write_snapshot(
+            live, tmp_path / "snapshot.alvc", journal_seq=live.journal.next_seq
+        )
+        live.provision(("nat",), service="sns")
+        live.journal.close()
+
+        result = restore_stack(
+            tmp_path / "journal.alvc", tmp_path / "snapshot.alvc"
+        )
+        assert result.source == "snapshot"
+        restored = result.stack
+        assert restored.engines.sim_engine in ("vector", "legacy")
+        assert restored.engines.admission == "auto"
+        assert restored.orchestrator.engines is restored.engines
+        assert dataclasses.replace(restored.engines, workers=2).workers == 2
+        assert state_digest(restored) == state_digest(live)
 
 
 def _square(x):

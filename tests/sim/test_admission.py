@@ -1,19 +1,17 @@
 """Batched admission pipeline: plan interning, invalidation, parity.
 
-The tentpole contract is structural parity with per-event admission:
-both modes resolve through the same tree-canonical primitive
-(:func:`repro.sim.admission.resolve_tree_path`), so an interned route
-must equal a cold per-pair resolution — including after fault/repair
-cycles force lazy re-resolution (the S3 satellite), and on both
-routing engines.
+The contract is structural parity with per-event admission: the plan
+and per-arrival routing resolve through the same tree-canonical
+primitive (:func:`repro.sim.admission.resolve_tree_path`), so an
+interned route must equal a cold per-pair resolution — including after
+fault/repair cycles force lazy re-resolution, and on both routing
+engines.
 """
 
 import random
-import warnings
 
 import pytest
 
-from repro.config import EngineConfig
 from repro.exceptions import RoutingError, ValidationError
 from repro.observability.runtime import Telemetry
 from repro.sdn.path_engine import engine_for
@@ -27,6 +25,7 @@ from repro.sim.event_simulator import EventDrivenFlowSimulator
 from repro.sim.faults import FaultEvent, FaultKind
 from repro.sim.traffic import TrafficConfig, TrafficGenerator
 from repro.sim.vector import VectorFairShareEngine
+from tests.sim.oracle import assert_matches_legacy, certified_recomputes
 
 ENGINES = ("csr", "nx")
 
@@ -213,7 +212,15 @@ class TestFaultRepairReresolution:
 
 
 class TestBatchedSimulatorParity:
-    """End-to-end: ``admission="batched"`` vs ``"per_event"`` reports."""
+    """End-to-end: batched admission vs per-event admission.
+
+    The frozen legacy loop is the surviving per-event admission path —
+    it routes every arrival at its event through the same
+    tree-canonical primitive — so batched reports must match it on
+    every discrete outcome (completions, hops, drops, reroutes), with
+    times to float tolerance, while every batched recompute is
+    certified max-min fair.
+    """
 
     def _flows(self, inventory, seed, n=25):
         generator = TrafficGenerator(
@@ -223,59 +230,46 @@ class TestBatchedSimulatorParity:
         )
         return generator.flows(n)
 
-    def _assert_reports_equal(self, got, want, context=""):
-        assert got.completed == want.completed, context
-        assert got.dropped == want.dropped, context
-        assert got.reroutes == want.reroutes, context
-        assert got.makespan == want.makespan, context
-        assert (
-            got.link_busy_byte_seconds == want.link_busy_byte_seconds
-        ), context
+    def _assert_matches_per_event(
+        self, inventory, clusters, flows, failures=(), **options
+    ):
+        with certified_recomputes() as checked:
+            batched = EventDrivenFlowSimulator(
+                inventory, clusters, **options
+            ).run(flows, failures=failures)
+        assert checked
+        per_event = EventDrivenFlowSimulator(
+            inventory, clusters, engines={"sim_engine": "legacy"}, **options
+        ).run(flows, failures=failures)
+        assert_matches_legacy(batched, per_event)
 
     def test_auto_resolution(self, clustered):
         inventory, clusters = clustered
-        vector = EventDrivenFlowSimulator(
-            inventory, clusters, engines={"sim_engine": "vector"}
-        )
-        assert vector.admission == "batched"
-        incremental = EventDrivenFlowSimulator(inventory, clusters)
-        assert incremental.admission == "per_event"
-        pinned = EventDrivenFlowSimulator(
-            inventory,
-            clusters,
-            engines={"sim_engine": "vector"},
-            admission="per_event",
-        )
-        assert pinned.admission == "per_event"
+        for engines in (None, {"admission": "auto"}, {"admission": "batched"}):
+            simulator = EventDrivenFlowSimulator(
+                inventory, clusters, engines=engines
+            )
+            assert simulator.admission == "batched"
 
     def test_admission_kwarg_validates(self, clustered):
         inventory, clusters = clustered
         with pytest.raises(ValidationError, match="requires sim_engine"):
             EventDrivenFlowSimulator(
-                inventory, clusters, admission="batched"
-            )
-        with pytest.raises(ValidationError, match="unknown admission"):
-            EventDrivenFlowSimulator(
                 inventory,
                 clusters,
-                engines={"sim_engine": "vector"},
-                admission="psychic",
+                engines={"sim_engine": "legacy", "admission": "batched"},
             )
+        for mode in ("per_event", "psychic"):
+            with pytest.raises(ValidationError, match="unknown admission"):
+                EventDrivenFlowSimulator(
+                    inventory, clusters, engines={"admission": mode}
+                )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_batched_matches_per_event(self, clustered, seed):
         inventory, clusters = clustered
-        flows = self._flows(inventory, seed)
-        reports = {}
-        for mode in ("per_event", "batched"):
-            simulator = EventDrivenFlowSimulator(
-                inventory,
-                clusters,
-                engines={"sim_engine": "vector", "admission": mode},
-            )
-            reports[mode] = simulator.run(flows)
-        self._assert_reports_equal(
-            reports["batched"], reports["per_event"], seed
+        self._assert_matches_per_event(
+            inventory, clusters, self._flows(inventory, seed)
         )
 
     @pytest.mark.parametrize("seed", [3, 4])
@@ -320,43 +314,22 @@ class TestBatchedSimulatorParity:
                     target=victim,
                 ),
             ]
-        reports = {}
-        for mode in ("per_event", "batched"):
-            simulator = EventDrivenFlowSimulator(
-                inventory,
-                clusters,
-                engines={"sim_engine": "vector", "admission": mode},
-            )
-            reports[mode] = simulator.run(flows, failures=failures)
-        self._assert_reports_equal(
-            reports["batched"], reports["per_event"], seed
+        self._assert_matches_per_event(
+            inventory, clusters, flows, failures=failures
         )
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_load_aware_batched_matches_per_event(self, clustered, seed):
         inventory, clusters = clustered
-        flows = self._flows(inventory, seed)
-        reports = {}
-        for mode in ("per_event", "batched"):
-            simulator = EventDrivenFlowSimulator(
-                inventory,
-                clusters,
-                load_aware=True,
-                engines={"sim_engine": "vector", "admission": mode},
-            )
-            reports[mode] = simulator.run(flows)
-        self._assert_reports_equal(
-            reports["batched"], reports["per_event"], seed
+        self._assert_matches_per_event(
+            inventory, clusters, self._flows(inventory, seed), load_aware=True
         )
 
     def test_batched_emits_bulk_counters(self, clustered):
         inventory, clusters = clustered
         telemetry = Telemetry.enabled_instance()
         simulator = EventDrivenFlowSimulator(
-            inventory,
-            clusters,
-            engines={"sim_engine": "vector"},
-            telemetry=telemetry,
+            inventory, clusters, telemetry=telemetry
         )
         report = simulator.run(self._flows(inventory, 11))
         assert report.flows > 0
@@ -370,22 +343,22 @@ class TestBatchedSimulatorParity:
         assert 0 < resolved <= bulk + len(report.dropped)
 
     def test_windowed_run_parity(self, clustered):
+        """A windowed run is the prefix of the full run: the same
+        completions up to the window edge, the rest in flight."""
         inventory, clusters = clustered
         flows = self._flows(inventory, 21, n=40)
-        reports = {}
-        for mode in ("per_event", "batched"):
-            simulator = EventDrivenFlowSimulator(
-                inventory,
-                clusters,
-                engines={"sim_engine": "vector", "admission": mode},
-            )
-            reports[mode] = simulator.run(flows, until=0.25)
-        self._assert_reports_equal(
-            reports["batched"], reports["per_event"]
+        simulator = EventDrivenFlowSimulator(inventory, clusters)
+        full = simulator.run(flows)
+        until = 0.25
+        windowed = simulator.run(flows, until=until)
+        assert windowed.completed == tuple(
+            record
+            for record in full.completed
+            if record.completion_time <= until
         )
-        assert reports["batched"].in_flight == reports[
-            "per_event"
-        ].in_flight
+        admitted = sum(1 for flow in flows if flow.arrival_time <= until)
+        assert windowed.in_flight == admitted - windowed.flows > 0
+        assert windowed.makespan == until
 
 
 class TestALFallbackResolution:

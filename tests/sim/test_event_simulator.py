@@ -22,6 +22,7 @@ from repro.topology.elements import (
     TorSpec,
 )
 from repro.virtualization.machines import MachineInventory
+from tests.sim.oracle import assert_matches_legacy, certified_recomputes
 
 
 @pytest.fixture
@@ -386,13 +387,13 @@ class TestFailureInjection:
 # ----------------------------------------------------------------------
 class TestEngineSelection:
     def test_engines_tuple(self):
-        assert ENGINES == ("incremental", "from_scratch", "legacy", "vector")
+        assert ENGINES == ("vector", "legacy")
 
-    def test_default_engine_is_incremental(self, clustered):
+    def test_default_engine_is_vector(self, clustered):
         inventory, clusters = clustered
-        assert EventDrivenFlowSimulator(inventory, clusters).engine == (
-            "incremental"
-        )
+        simulator = EventDrivenFlowSimulator(inventory, clusters)
+        assert simulator.engine == "vector"
+        assert simulator.admission == "batched"
 
     def test_unknown_engine_rejected(self, clustered):
         inventory, clusters = clustered
@@ -401,28 +402,20 @@ class TestEngineSelection:
                 inventory, clusters, engines={"sim_engine": "warp"}
             )
 
-    def test_deprecated_engine_kwarg_warns_and_selects(self, clustered):
+    @pytest.mark.parametrize("retired", ["incremental", "from_scratch"])
+    def test_retired_engines_rejected(self, clustered, retired):
         inventory, clusters = clustered
-        with pytest.warns(DeprecationWarning, match="engines="):
-            simulator = EventDrivenFlowSimulator(
-                inventory, clusters, engine="vector"
+        with pytest.raises(ValidationError, match="vector"):
+            EventDrivenFlowSimulator(
+                inventory, clusters, engines={"sim_engine": retired}
             )
-        assert simulator.engine == "vector"
 
-    def test_deprecated_engine_kwarg_still_validates(self, clustered):
+    def test_removed_selector_kwargs_rejected(self, clustered):
         inventory, clusters = clustered
-        with pytest.raises(ValidationError):
-            EventDrivenFlowSimulator(inventory, clusters, engine="warp")
-
-    def test_conflicting_engine_spellings_rejected(self, clustered):
-        inventory, clusters = clustered
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValidationError, match="conflicting"):
+        for kwarg in ("engine", "admission"):
+            with pytest.raises(TypeError):
                 EventDrivenFlowSimulator(
-                    inventory,
-                    clusters,
-                    engine="legacy",
-                    engines={"sim_engine": "vector"},
+                    inventory, clusters, **{kwarg: "vector"}
                 )
 
     def test_negative_cache_size_rejected(self, clustered):
@@ -450,9 +443,20 @@ class TestEngineSelection:
 
 
 class TestEngineParity:
-    """The incremental hot path and the vectorized data plane must both
-    reproduce the reference engine's `CompletedFlow` stream bit for bit
-    (ids, times, hops)."""
+    """The production engine's rates are bit-identical to the reference
+    water-fill and certified max-min fair at every recompute, and its
+    `CompletedFlow` stream matches the frozen legacy loop's."""
+
+    def _check(self, inventory, clusters, flows, failures=(), **options):
+        with certified_recomputes() as checked:
+            report = EventDrivenFlowSimulator(
+                inventory, clusters, **options
+            ).run(flows, failures=failures)
+        assert checked
+        legacy = EventDrivenFlowSimulator(
+            inventory, clusters, engines={"sim_engine": "legacy"}, **options
+        ).run(flows, failures=failures)
+        assert_matches_legacy(report, legacy)
 
     @pytest.mark.parametrize("seed", [101, 102, 103, 104, 105, 106])
     def test_randomized_workload_bit_parity(self, clustered, seed):
@@ -460,23 +464,7 @@ class TestEngineParity:
         generator = TrafficGenerator(
             inventory, TrafficConfig(arrival_rate=60.0, sigma=0.8), seed=seed
         )
-        flows = generator.flows(150)
-        reports = {
-            engine: EventDrivenFlowSimulator(
-                inventory, clusters, engines={"sim_engine": engine}
-            ).run(flows)
-            for engine in ("from_scratch", "incremental", "vector")
-        }
-        for engine in ("incremental", "vector"):
-            assert (
-                reports[engine].completed
-                == reports["from_scratch"].completed
-            )
-            assert reports[engine].makespan == reports["from_scratch"].makespan
-            assert (
-                reports[engine].link_busy_byte_seconds
-                == reports["from_scratch"].link_busy_byte_seconds
-            )
+        self._check(inventory, clusters, generator.flows(150))
 
     @pytest.mark.parametrize("seed", [31, 32])
     def test_parity_under_load_aware_routing(self, clustered, seed):
@@ -484,47 +472,36 @@ class TestEngineParity:
         generator = TrafficGenerator(
             inventory, TrafficConfig(arrival_rate=50.0), seed=seed
         )
-        flows = generator.flows(100)
-        reports = [
-            EventDrivenFlowSimulator(
-                inventory,
-                clusters,
-                engines={"sim_engine": engine},
-                load_aware=True,
-            ).run(flows)
-            for engine in ("from_scratch", "incremental", "vector")
-        ]
-        assert reports[0].completed == reports[1].completed
-        assert reports[0].completed == reports[2].completed
+        self._check(
+            inventory, clusters, generator.flows(100), load_aware=True
+        )
 
     def test_parity_under_failures(self, clustered):
         inventory, clusters = clustered
         generator = TrafficGenerator(
             inventory, TrafficConfig(arrival_rate=40.0), seed=41
         )
-        flows = generator.flows(80)
         victims = inventory.network.optical_switches()[:2]
-        failures = [(0.05, victims[0]), (0.4, victims[1])]
-        reports = [
-            EventDrivenFlowSimulator(
-                inventory, clusters, engines={"sim_engine": engine}
-            ).run(flows, failures=failures)
-            for engine in ("from_scratch", "incremental", "vector")
-        ]
-        for report in reports[1:]:
-            assert report.completed == reports[0].completed
-            assert report.dropped == reports[0].dropped
-            assert report.reroutes == reports[0].reroutes
+        self._check(
+            inventory,
+            clusters,
+            generator.flows(80),
+            failures=[(0.05, victims[0]), (0.4, victims[1])],
+        )
 
     def test_route_cache_does_not_change_results(self, clustered):
+        # Only load-aware runs consult the cache (the rest route
+        # through the admission plan).
         inventory, clusters = clustered
         generator = TrafficGenerator(
             inventory, TrafficConfig(arrival_rate=60.0), seed=51
         )
         flows = generator.flows(120)
-        cached = EventDrivenFlowSimulator(inventory, clusters).run(flows)
+        cached = EventDrivenFlowSimulator(
+            inventory, clusters, load_aware=True
+        ).run(flows)
         uncached = EventDrivenFlowSimulator(
-            inventory, clusters, route_cache_size=0
+            inventory, clusters, load_aware=True, route_cache_size=0
         ).run(flows)
         assert cached.completed == uncached.completed
 
@@ -538,9 +515,7 @@ class TestEngineParity:
             inventory, TrafficConfig(arrival_rate=40.0), seed=seed
         )
         flows = generator.flows(80)
-        fast = EventDrivenFlowSimulator(
-            inventory, clusters, engines={"sim_engine": "incremental"}
-        ).run(flows)
+        fast = EventDrivenFlowSimulator(inventory, clusters).run(flows)
         slow = EventDrivenFlowSimulator(
             inventory, clusters, engines={"sim_engine": "legacy"}
         ).run(flows)
@@ -573,7 +548,11 @@ class TestRouteCacheIntegration:
             )
             for i in range(10)
         ]
-        simulator = EventDrivenFlowSimulator(inventory, clusters)
+        # Load-aware runs are the ones that route through the cache;
+        # the rest use the admission plan.
+        simulator = EventDrivenFlowSimulator(
+            inventory, clusters, load_aware=True
+        )
         simulator.run(flows)
         cache = simulator.route_cache
         assert cache is not None
@@ -591,7 +570,9 @@ class TestRouteCacheIntegration:
     def test_invalidate_routes_drops_entries(self, clustered):
         inventory, clusters = clustered
         generator = TrafficGenerator(inventory, seed=71)
-        simulator = EventDrivenFlowSimulator(inventory, clusters)
+        simulator = EventDrivenFlowSimulator(
+            inventory, clusters, load_aware=True
+        )
         simulator.run(generator.flows(30))
         assert len(simulator.route_cache) > 0
         dropped = simulator.invalidate_routes()

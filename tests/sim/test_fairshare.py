@@ -6,11 +6,12 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.sim.fairshare import (
-    FairShareEngine,
+    certify_max_min,
     link_of,
     links_on_path,
     max_min_fair_rates,
 )
+from repro.sim.vector import BatchedFairShareEngine
 
 
 AB = link_of("a", "b")
@@ -151,27 +152,28 @@ class TestMaxMinFairness:
 
 
 class TestFairShareEngine:
-    """Incremental engine must match the reference bit for bit."""
+    """The production engine (:class:`BatchedFairShareEngine`) must match
+    the reference bit for bit."""
 
     def test_matches_reference_on_classic_example(self):
         capacities = {AB: 10.0, BC: 4.0}
-        engine = FairShareEngine(capacities)
+        engine = BatchedFairShareEngine(capacities)
         flows = {"f1": [AB, BC], "f2": [AB], "f3": [BC]}
         for flow, links in flows.items():
             engine.add_flow(flow, links)
-        assert engine.recompute() == max_min_fair_rates(flows, capacities)
+        assert engine.rates_by_flow() == max_min_fair_rates(flows, capacities)
 
     def test_linkless_flow_is_unbounded(self):
-        engine = FairShareEngine({})
+        engine = BatchedFairShareEngine({})
         engine.add_flow("f1", [])
-        assert engine.recompute() == {"f1": float("inf")}
+        assert engine.rates_by_flow() == {"f1": float("inf")}
 
     def test_colocated_inf_alongside_loaded_flows(self):
         # A zero-hop flow must get inf without disturbing loaded shares.
-        engine = FairShareEngine({AB: 6.0})
+        engine = BatchedFairShareEngine({AB: 6.0})
         engine.add_flow("loaded", [AB])
         engine.add_flow("colocated", [])
-        rates = engine.recompute()
+        rates = engine.rates_by_flow()
         assert rates["colocated"] == float("inf")
         assert rates["loaded"] == 6.0
 
@@ -181,37 +183,37 @@ class TestFairShareEngine:
         # sorted(link), which must produce the same allocation.
         capacities = {AB: 4.0, CD: 4.0}
         flows = {"f1": [AB], "f2": [CD], "f3": [AB, CD]}
-        engine = FairShareEngine(capacities)
+        engine = BatchedFairShareEngine(capacities)
         for flow, links in flows.items():
             engine.add_flow(flow, links)
-        assert engine.recompute() == max_min_fair_rates(flows, capacities)
+        assert engine.rates_by_flow() == max_min_fair_rates(flows, capacities)
 
     def test_remove_flow_releases_share(self):
-        engine = FairShareEngine({AB: 10.0})
+        engine = BatchedFairShareEngine({AB: 10.0})
         engine.add_flow("f1", [AB])
         engine.add_flow("f2", [AB])
-        assert engine.recompute()["f1"] == 5.0
+        assert engine.rates_by_flow()["f1"] == 5.0
         engine.remove_flow("f2")
-        assert engine.recompute() == {"f1": 10.0}
+        assert engine.rates_by_flow() == {"f1": 10.0}
 
     def test_duplicate_flow_rejected(self):
-        engine = FairShareEngine({AB: 1.0})
+        engine = BatchedFairShareEngine({AB: 1.0})
         engine.add_flow("f1", [AB])
         with pytest.raises(SimulationError):
             engine.add_flow("f1", [AB])
 
     def test_unknown_link_rejected(self):
-        engine = FairShareEngine({AB: 1.0})
+        engine = BatchedFairShareEngine({AB: 1.0})
         with pytest.raises(SimulationError):
             engine.add_flow("f1", [BC])
 
     def test_remove_inactive_flow_rejected(self):
-        engine = FairShareEngine({AB: 1.0})
+        engine = BatchedFairShareEngine({AB: 1.0})
         with pytest.raises(SimulationError):
             engine.remove_flow("ghost")
 
     def test_remove_loaded_link_rejected(self):
-        engine = FairShareEngine({AB: 1.0})
+        engine = BatchedFairShareEngine({AB: 1.0})
         engine.add_flow("f1", [AB])
         with pytest.raises(SimulationError):
             engine.remove_link(AB)
@@ -221,12 +223,12 @@ class TestFairShareEngine:
 
     def test_non_positive_capacity_rejected(self):
         with pytest.raises(SimulationError):
-            FairShareEngine({AB: 0.0})
+            BatchedFairShareEngine({AB: 0.0})
         with pytest.raises(SimulationError):
-            FairShareEngine({AB: -1.0})
+            BatchedFairShareEngine({AB: -1.0})
 
     def test_counters_track_membership(self):
-        engine = FairShareEngine({AB: 2.0, BC: 2.0})
+        engine = BatchedFairShareEngine({AB: 2.0, BC: 2.0})
         engine.add_flow("f1", [AB, BC])
         engine.add_flow("f2", [AB])
         assert engine.active_flows == 2
@@ -249,7 +251,7 @@ class TestFairShareEngine:
         capacities = {
             link: rng.choice([1.0, 2.5, 4.0, 10.0, 40.0]) for link in links
         }
-        engine = FairShareEngine(capacities)
+        engine = BatchedFairShareEngine(capacities)
         reference: dict[str, list] = {}
         for step in range(60):
             if reference and rng.random() < 0.35:
@@ -261,6 +263,83 @@ class TestFairShareEngine:
                 chosen = rng.sample(links, k=rng.randint(0, 3))
                 reference[flow] = chosen
                 engine.add_flow(flow, chosen)
-            assert engine.recompute() == max_min_fair_rates(
+            assert engine.rates_by_flow() == max_min_fair_rates(
                 reference, capacities
             )
+
+
+class TestCertificate:
+    """``certify_max_min`` accepts max-min fair vectors and names the
+    violation in perturbed ones."""
+
+    FLOWS = {"f1": [AB, BC], "f2": [AB], "f3": [BC], "f4": [BC, CD]}
+    CAPACITIES = {AB: 12.0, BC: 6.0, CD: 2.0}
+
+    def _fair(self):
+        return max_min_fair_rates(self.FLOWS, self.CAPACITIES)
+
+    def test_reference_allocation_certifies(self):
+        certify_max_min(self._fair(), self.FLOWS, self.CAPACITIES)
+
+    def test_linkless_flows_certify_at_infinity(self):
+        flows = {"f1": [], "f2": [AB]}
+        certify_max_min(
+            max_min_fair_rates(flows, {AB: 6.0}), flows, {AB: 6.0}
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_reference_allocations_certify(self, seed):
+        rng = random.Random(seed)
+        links = [link_of(f"n{i}", f"n{i + 1}") for i in range(6)]
+        capacities = {link: rng.uniform(0.5, 50.0) for link in links}
+        flows = {
+            f"f{index}": rng.sample(links, rng.randint(0, 4))
+            for index in range(30)
+        }
+        certify_max_min(
+            max_min_fair_rates(flows, capacities), flows, capacities
+        )
+
+    def test_one_flow_plus_epsilon_overloads_its_link(self):
+        rates = self._fair()
+        saturated = "f2"  # AB carries f1 + f2 == 12 exactly
+        rates[saturated] += 1e-6
+        with pytest.raises(SimulationError, match="over capacity"):
+            certify_max_min(rates, self.FLOWS, self.CAPACITIES)
+
+    def test_moving_epsilon_between_flows_breaks_fairness(self):
+        # BC stays exactly full, but f1 now gets less than f3 there and
+        # leaves AB unsaturated — f1 has lost its bottleneck.
+        rates = self._fair()
+        rates["f1"] -= 0.25
+        rates["f3"] += 0.25
+        with pytest.raises(SimulationError, match="no bottleneck"):
+            certify_max_min(rates, self.FLOWS, self.CAPACITIES)
+
+    def test_link_pushed_over_capacity(self):
+        shrunk = {**self.CAPACITIES, BC: 5.0}
+        with pytest.raises(SimulationError, match="over capacity"):
+            certify_max_min(self._fair(), self.FLOWS, shrunk)
+
+    def test_uniformly_slow_allocation_is_not_maximal(self):
+        # Feasible but wasteful: nothing saturates.
+        rates = {flow: 0.5 for flow in self.FLOWS}
+        with pytest.raises(SimulationError, match="no bottleneck"):
+            certify_max_min(rates, self.FLOWS, self.CAPACITIES)
+
+    def test_malformed_inputs_rejected(self):
+        rates = self._fair()
+        with pytest.raises(SimulationError, match="different flows"):
+            certify_max_min({"f1": 1.0}, self.FLOWS, self.CAPACITIES)
+        with pytest.raises(SimulationError, match="unknown link"):
+            certify_max_min(rates, self.FLOWS, {AB: 12.0, BC: 6.0})
+        with pytest.raises(SimulationError, match="invalid rate"):
+            certify_max_min(
+                {**rates, "f2": float("nan")}, self.FLOWS, self.CAPACITIES
+            )
+        with pytest.raises(SimulationError, match="over capacity"):
+            certify_max_min(
+                {**rates, "f2": float("inf")}, self.FLOWS, self.CAPACITIES
+            )
+        with pytest.raises(SimulationError, match="no bottleneck"):
+            certify_max_min({"f1": 3.0}, {"f1": []}, {})

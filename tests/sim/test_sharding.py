@@ -297,10 +297,8 @@ class TestShardedParity:
         flows = _workload(inventory, count=30, seed=21)
         failures = _degrade_schedule(inventory, clusters, flows)
         engines = {"sim_engine": "vector", "admission": "batched"}
-        per_event = EventDrivenFlowSimulator(
-            inventory,
-            clusters,
-            engines={"sim_engine": "vector", "admission": "per_event"},
+        unsharded = EventDrivenFlowSimulator(
+            inventory, clusters, engines=engines
         ).run(flows, failures)
         sequential = simulate_sharded(
             inventory, clusters, flows, failures,
@@ -310,5 +308,5 @@ class TestShardedParity:
             inventory, clusters, flows, failures,
             workers=4, engines=engines,
         )
-        assert sequential == per_event
+        assert sequential == unsharded
         assert fanned_out == sequential

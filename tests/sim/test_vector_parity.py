@@ -1,13 +1,19 @@
-"""Seeded three-way parity: incremental vs from-scratch vs vector.
+"""Seeded 220-seed suite: the production data plane against oracles.
 
-The vectorized data plane's whole claim is **bit-identical** max-min
-rates: ``np.subtract.at`` replays the dict engine's sequential IEEE
+The vector engines claim **bit-identical** max-min rates:
+``np.subtract.at`` replays the reference's sequential IEEE
 subtractions, the deferred per-round clamp is provably equivalent to
 the per-subtraction clamp, and the rank-ordered ``argmin`` replicates
-the ``sorted(link)`` tie-break.  This suite pins that claim on 200+
-randomized instances — kernel-level add/remove/capacity-cut sequences
-and full simulator runs with ``FaultEvent`` schedules (capacity cuts
-mid-run included) — following the PR 4/PR 8 seeded-parity pattern.
+the ``sorted(link)`` tie-break.  With no second production engine left
+to diff against, every seed is checked by oracles that need none:
+
+* kernel instances (add/remove/capacity-cut sequences) compare both
+  vector engines with :func:`~repro.sim.fairshare.max_min_fair_rates`
+  and certify the result with
+  :func:`~repro.sim.fairshare.certify_max_min`;
+* full simulator runs with ``FaultEvent`` schedules certify and
+  reference-check *every* recompute, and match the frozen legacy loop's
+  events, completions and mean FCT to float tolerance.
 """
 
 import random
@@ -16,10 +22,11 @@ import numpy as np
 import pytest
 
 from repro.sim.event_simulator import EventDrivenFlowSimulator
-from repro.sim.fairshare import FairShareEngine, max_min_fair_rates
+from repro.sim.fairshare import certify_max_min, max_min_fair_rates
 from repro.sim.faults import FaultEvent, FaultKind
 from repro.sim.traffic import TrafficConfig, TrafficGenerator
-from repro.sim.vector import VectorFairShareEngine
+from repro.sim.vector import BatchedFairShareEngine, VectorFairShareEngine
+from tests.sim.oracle import assert_matches_legacy, certified_recomputes
 
 #: 160 kernel instances + 60 simulator instances = 220 seeds.
 KERNEL_CHUNKS = [range(start, start + 20) for start in range(0, 160, 20)]
@@ -41,8 +48,7 @@ def _random_instance(rng: random.Random):
 
     Capacities come from a tiny value set so exact ratio ties (the
     tie-break path) occur often; each path samples links without
-    replacement (the dict engine's member bookkeeping assumes a flow
-    crosses a link at most once).
+    replacement.
     """
     nodes = [f"n{index}" for index in range(rng.randint(4, 12))]
     caps = {}
@@ -66,23 +72,30 @@ def _assert_rates_equal(got: dict, want: dict):
             assert got[flow] == rate, flow
 
 
+def _check(engines, paths: dict, caps: dict) -> None:
+    """Every engine equals the reference, which certifies max-min."""
+    reference = max_min_fair_rates(paths, caps)
+    certify_max_min(reference, paths, caps)
+    for engine in engines:
+        _assert_rates_equal(engine.rates_by_flow(), reference)
+
+
 class TestKernelParity:
-    """VectorFairShareEngine vs FairShareEngine vs max_min_fair_rates."""
+    """Both vector engines vs max_min_fair_rates, certified."""
 
     @pytest.mark.parametrize("seeds", KERNEL_CHUNKS)
     def test_randomized_instances(self, seeds):
         for seed in seeds:
             rng = random.Random(seed)
             caps, paths = _random_instance(rng)
-            dict_engine = FairShareEngine(caps)
-            vector_engine = VectorFairShareEngine(caps)
+            engines = (
+                VectorFairShareEngine(caps),
+                BatchedFairShareEngine(caps),
+            )
             for flow, path in paths.items():
-                dict_engine.add_flow(flow, path)
-                vector_engine.add_flow(flow, path)
-
-            reference = max_min_fair_rates(paths, caps)
-            _assert_rates_equal(dict_engine.recompute(), reference)
-            _assert_rates_equal(vector_engine.rates_by_flow(), reference)
+                for engine in engines:
+                    engine.add_flow(flow, path)
+            _check(engines, paths, caps)
 
             # Incremental churn: drop a random subset and recompare —
             # the vector table must stay exact across slot reuse.
@@ -90,16 +103,14 @@ class TestKernelParity:
                 flow for flow in paths if rng.random() < 0.4
             ]
             for flow in doomed:
-                dict_engine.remove_flow(flow)
-                vector_engine.remove_flow(flow)
+                for engine in engines:
+                    engine.remove_flow(flow)
             survivors = {
                 flow: path
                 for flow, path in paths.items()
                 if flow not in doomed
             }
-            reference = max_min_fair_rates(survivors, caps)
-            _assert_rates_equal(dict_engine.recompute(), reference)
-            _assert_rates_equal(vector_engine.rates_by_flow(), reference)
+            _check(engines, survivors, caps)
 
     @pytest.mark.parametrize("seeds", KERNEL_CHUNKS[:2])
     def test_capacity_cuts_mid_sequence(self, seeds):
@@ -108,19 +119,18 @@ class TestKernelParity:
         for seed in seeds:
             rng = random.Random(seed ^ 0xC0FFEE)
             caps, paths = _random_instance(rng)
-            dict_engine = FairShareEngine(caps)
-            vector_engine = VectorFairShareEngine(caps)
+            engines = (
+                VectorFairShareEngine(caps),
+                BatchedFairShareEngine(caps),
+            )
             for flow, path in paths.items():
-                dict_engine.add_flow(flow, path)
-                vector_engine.add_flow(flow, path)
+                for engine in engines:
+                    engine.add_flow(flow, path)
             victim = rng.choice(list(caps))
             for capacity in (caps[victim] * 0.25, caps[victim]):
-                dict_engine.set_capacity(victim, capacity)
-                vector_engine.set_capacity(victim, capacity)
-                degraded = {**caps, victim: capacity}
-                reference = max_min_fair_rates(paths, degraded)
-                _assert_rates_equal(dict_engine.recompute(), reference)
-                _assert_rates_equal(vector_engine.rates_by_flow(), reference)
+                for engine in engines:
+                    engine.set_capacity(victim, capacity)
+                _check(engines, paths, {**caps, victim: capacity})
 
 
 def _fault_schedule(rng: random.Random, network) -> list:
@@ -172,7 +182,8 @@ def _fault_schedule(rng: random.Random, network) -> list:
 
 
 class TestSimulatorParity:
-    """Full event-loop three-way parity under FaultEvent schedules."""
+    """Full production runs under FaultEvent schedules: every recompute
+    certified and reference-equal, the report matching legacy."""
 
     @pytest.mark.parametrize("seeds", SIM_CHUNKS)
     def test_randomized_fault_schedules(self, clustered, seeds):
@@ -186,49 +197,12 @@ class TestSimulatorParity:
             )
             flows = generator.flows(30)
             failures = _fault_schedule(rng, inventory.network)
-            reports = {
-                engine: EventDrivenFlowSimulator(
-                    inventory, clusters, engines={"sim_engine": engine}
-                ).run(flows, failures=failures)
-                for engine in ("from_scratch", "incremental", "vector")
-            }
-            baseline = reports["from_scratch"]
-            for engine in ("incremental", "vector"):
-                report = reports[engine]
-                assert report.completed == baseline.completed, seed
-                assert report.dropped == baseline.dropped, seed
-                assert report.reroutes == baseline.reroutes, seed
-                assert report.makespan == baseline.makespan, seed
-                assert (
-                    report.link_busy_byte_seconds
-                    == baseline.link_busy_byte_seconds
-                ), seed
-
-
-class TestAdmissionParity:
-    """Explicit per_event vs batched admission — same vector engine."""
-
-    @pytest.mark.parametrize("seeds", [range(2000, 2010)])
-    def test_fault_schedules_bit_identical(self, clustered, seeds):
-        inventory, clusters = clustered
-        for seed in seeds:
-            rng = random.Random(seed)
-            generator = TrafficGenerator(
-                inventory,
-                TrafficConfig(arrival_rate=40.0, sigma=0.8),
-                seed=seed,
-            )
-            flows = generator.flows(30)
-            failures = _fault_schedule(rng, inventory.network)
-            reports = {
-                mode: EventDrivenFlowSimulator(
-                    inventory,
-                    clusters,
-                    engines={
-                        "sim_engine": "vector",
-                        "admission": mode,
-                    },
-                ).run(flows, failures=failures)
-                for mode in ("per_event", "batched")
-            }
-            assert reports["batched"] == reports["per_event"], seed
+            with certified_recomputes() as checked:
+                report = EventDrivenFlowSimulator(inventory, clusters).run(
+                    flows, failures=failures
+                )
+            assert checked, seed
+            legacy = EventDrivenFlowSimulator(
+                inventory, clusters, engines={"sim_engine": "legacy"}
+            ).run(flows, failures=failures)
+            assert_matches_legacy(report, legacy, seed)
