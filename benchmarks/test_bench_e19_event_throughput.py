@@ -10,9 +10,10 @@ turns and the speedup is the median per-turn ratio, which keeps the
 10% regression gate clear of host-speed drift.
 
 The run writes a machine-readable record (``BENCH_e19.json`` in the
-working directory, or ``$ALVC_BENCH_E19_OUT``) that
-``benchmarks/compare_throughput.py`` diffs against the committed
-``benchmarks/BENCH_e19.json`` to gate throughput regressions in CI.
+working directory, or ``$ALVC_BENCH_E19_OUT``) and holds it to the
+baseline-free rows of ``benchmarks/gates.py`` (the 3x floor);
+``python benchmarks/gates.py check <record>`` adds the 10% regression
+gate against the committed ``benchmarks/BENCH_e19.json`` in CI.
 """
 
 import json
@@ -20,12 +21,9 @@ import os
 
 import pytest
 
+import gates
 from repro.analysis.experiments import experiment_e19_event_throughput
 from repro.analysis.reporting import render_table
-
-#: The headline promise: the production engine at least this much
-#: faster than the legacy loop.
-MIN_SPEEDUP = 3.0
 
 
 def test_bench_e19_event_throughput(benchmark):
@@ -54,25 +52,16 @@ def test_bench_e19_event_throughput(benchmark):
         legacy["mean_fct"], rel=1e-6
     )
 
-    # The tentpole acceptance bar: >= 3x events/second.
-    assert production["speedup"] >= MIN_SPEEDUP, (
-        f"production engine is only {production['speedup']:.2f}x the "
-        f"legacy loop (target {MIN_SPEEDUP}x)"
-    )
-
+    record = {
+        "experiment": "e19_event_throughput",
+        "rows": rows,
+        "events_per_sec": {
+            row["engine"]: row["events_per_sec"] for row in rows
+        },
+        "speedup": production["speedup"],
+    }
     out_path = os.environ.get("ALVC_BENCH_E19_OUT", "BENCH_e19.json")
     with open(out_path, "w") as handle:
-        json.dump(
-            {
-                "experiment": "e19_event_throughput",
-                "rows": rows,
-                "events_per_sec": {
-                    row["engine"]: row["events_per_sec"] for row in rows
-                },
-                "speedup": production["speedup"],
-            },
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    assert not gates.check_record(record)

@@ -8,30 +8,20 @@ certified optimum, and the node counts stay inside an interactive
 budget (the perf canary for the pure-python solver).
 
 The run writes a machine-readable record (``BENCH_e24.json`` in the
-working directory, or ``$ALVC_BENCH_E24_OUT``) that
-``benchmarks/compare_opt.py`` diffs against the committed
-``benchmarks/BENCH_e24.json`` to gate exact-baseline regressions in
-CI.
+working directory, or ``$ALVC_BENCH_E24_OUT``) and holds it to the
+baseline-free rows of ``benchmarks/gates.py`` (certification, the
+per-problem gap ceilings and the node budget);
+``python benchmarks/gates.py check <record>`` adds the no-wider-gap and
+node-growth gates against the committed ``benchmarks/BENCH_e24.json``
+in CI.
 """
 
 import json
 import os
 
+import gates
 from repro.analysis.experiments import experiment_e24_exact_gap
 from repro.analysis.reporting import render_table
-
-#: Gate A: every instance must be *closed* — a gap curve against an
-#: uncertified incumbent proves nothing.
-REQUIRE_PROVEN = True
-
-#: Gate B: largest tolerated relative gap, per problem family.  The
-#: paper's greedy is near-optimal on these scales; a bigger gap means a
-#: greedy regression (or an exact-solver bug making "optimal" too easy).
-MAX_GAP = {"al_cover": 0.5, "placement": 0.0}
-
-#: Gate C: branch-and-bound node budget per instance (perf canary —
-#: the pure-python solver must stay interactive at bench scale).
-MAX_BNB_NODES = 2000
 
 
 def test_bench_e24_exact_gap(benchmark):
@@ -56,8 +46,6 @@ def test_bench_e24_exact_gap(benchmark):
 
     for row in rows:
         label = f"{row['problem']}@{row['fabric_servers']}"
-        # Gate A: branch-and-bound closed the instance.
-        assert row["proven_optimal"], f"{label}: bound not closed"
         # The certificate brackets the exact objective from below and
         # the greedy objective from above (exactness sanity).
         assert (
@@ -65,34 +53,25 @@ def test_bench_e24_exact_gap(benchmark):
             <= row["exact_objective"]
             <= row["greedy_objective"]
         ), f"{label}: certificate ordering violated: {row}"
-        # Gate B: greedy within the committed tolerance of optimal.
-        assert 0.0 <= row["gap"] <= MAX_GAP[row["problem"]], (
-            f"{label}: gap {row['gap']:.3f} outside "
-            f"[0, {MAX_GAP[row['problem']]}]"
-        )
-        # Gate C: the solver stayed interactive.
-        assert row["bnb_nodes"] <= MAX_BNB_NODES, (
-            f"{label}: {row['bnb_nodes']} B&B nodes "
-            f"(budget {MAX_BNB_NODES})"
-        )
+        assert row["gap"] >= 0.0, f"{label}: negative gap {row['gap']}"
 
+    # Certification (a gap against an uncertified incumbent proves
+    # nothing), the per-problem gap ceilings (a bigger gap means a
+    # greedy regression or an exact-solver bug making "optimal" too
+    # easy) and the per-instance B&B node budget (the pure-python
+    # solver stays interactive) are rows in benchmarks/gates.py.
+    record = {
+        "experiment": "e24_exact_gap",
+        "rows": rows,
+        "max_gap": {
+            problem: max(row["gap"] for row in group)
+            for problem, group in by_problem.items()
+        },
+        "total_bnb_nodes": sum(row["bnb_nodes"] for row in rows),
+        "proven_optimal": all(row["proven_optimal"] for row in rows),
+    }
     out_path = os.environ.get("ALVC_BENCH_E24_OUT", "BENCH_e24.json")
     with open(out_path, "w") as handle:
-        json.dump(
-            {
-                "experiment": "e24_exact_gap",
-                "rows": rows,
-                "max_gap": {
-                    problem: max(row["gap"] for row in group)
-                    for problem, group in by_problem.items()
-                },
-                "total_bnb_nodes": sum(row["bnb_nodes"] for row in rows),
-                "proven_optimal": all(
-                    row["proven_optimal"] for row in rows
-                ),
-            },
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    assert not gates.check_record(record)

@@ -126,42 +126,62 @@ def _cache_dir() -> str:
         return tempfile.gettempdir()
 
 
-def _compile() -> "ctypes.CDLL | None":
+def _entry_point(library: str):
+    """The kernel symbol of the shared object *library*, or ``None``."""
+    try:
+        return ctypes.CDLL(library).alvc_waterfill
+    except (OSError, AttributeError):
+        return None
+
+
+def _compile():
+    """The ``alvc_waterfill`` entry point, compiling it if need be.
+
+    Each process compiles from its own ``mkstemp`` source into its own
+    scratch object, so concurrent cold starts never read a source that
+    another process is still writing.  Only an object that exports the
+    symbol is renamed into place; a cached object without it (left by
+    an older, racy build) counts as a failed compile and is rebuilt.
+    """
     digest = hashlib.sha256(KERNEL_SOURCE.encode()).hexdigest()[:16]
     directory = _cache_dir()
     library = os.path.join(directory, f"waterfill-{digest}.so")
-    if not os.path.exists(library):
-        source = os.path.join(directory, f"waterfill-{digest}.c")
-        scratch = library + f".tmp{os.getpid()}"
-        try:
-            with open(source, "w") as handle:
-                handle.write(KERNEL_SOURCE)
-            for compiler in ("cc", "gcc", "clang"):
-                # -O2 without any fast-math flag: the contract is exact
-                # IEEE doubles in source order.
-                result = subprocess.run(
-                    [compiler, "-O2", "-fPIC", "-shared", source,
-                     "-o", scratch],
-                    capture_output=True,
-                    timeout=60,
-                )
-                if result.returncode == 0:
-                    os.replace(scratch, library)
-                    break
-            else:
-                return None
-        except (OSError, subprocess.SubprocessError):
-            return None
-        finally:
-            if os.path.exists(scratch):
+    if os.path.exists(library):
+        function = _entry_point(library)
+        if function is not None:
+            return function
+    source = scratch = None
+    try:
+        fd, source = tempfile.mkstemp(suffix=".c", dir=directory)
+        scratch = source[:-2] + ".so"
+        with os.fdopen(fd, "w") as handle:
+            handle.write(KERNEL_SOURCE)
+        for compiler in ("cc", "gcc", "clang"):
+            # -O2 without any fast-math flag: the contract is exact
+            # IEEE doubles in source order.
+            result = subprocess.run(
+                [compiler, "-O2", "-fPIC", "-shared", source, "-o", scratch],
+                capture_output=True,
+                timeout=60,
+            )
+            if result.returncode != 0:
+                continue
+            # Loaded under the scratch name: dlopen would hand back a
+            # stale symbol-less object already loaded as *library*.
+            function = _entry_point(scratch)
+            if function is not None:
+                os.replace(scratch, library)
+                return function
+        return None
+    except (OSError, subprocess.SubprocessError):
+        return None
+    finally:
+        for path in (source, scratch):
+            if path is not None and os.path.exists(path):
                 try:
-                    os.remove(scratch)
+                    os.remove(path)
                 except OSError:
                     pass
-    try:
-        return ctypes.CDLL(library)
-    except OSError:
-        return None
 
 
 def waterfill_kernel():
@@ -178,11 +198,10 @@ def waterfill_kernel():
     if os.environ.get(DISABLE_ENV):
         _kernel = None
         return None
-    library = _compile()
-    if library is None:
+    function = _compile()
+    if function is None:
         _kernel = None
         return None
-    function = library.alvc_waterfill
     function.restype = ctypes.c_int64
     function.argtypes = [
         ctypes.c_int64,          # n_loaded

@@ -5,6 +5,7 @@ semantics, and ``VectorFairShareEngine`` incremental bookkeeping — the
 bit-parity arguments live in ``tests/sim/test_vector_parity.py``.
 """
 
+import os
 import pickle
 
 import numpy as np
@@ -514,3 +515,46 @@ class TestBatchedEngine:
         assert engine.rates_by_flow() == max_min_fair_rates(
             {"f0": [A, B], "f1": [B]}, CAPS
         )
+
+    def test_symbolless_cached_library_is_rebuilt(
+        self, monkeypatch, tmp_path
+    ):
+        # A racy cold start once cached an object compiled from a
+        # truncated source: it loads, but has no alvc_waterfill.
+        import hashlib
+        import shutil
+        import subprocess
+
+        from repro.sim import ckernel
+
+        compiler = next(
+            (name for name in ("cc", "gcc", "clang") if shutil.which(name)),
+            None,
+        )
+        if compiler is None:
+            pytest.skip("no C compiler in this environment")
+        monkeypatch.delenv(ckernel.DISABLE_ENV, raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(ckernel, "_kernel", ckernel._UNSET)
+        empty = tmp_path / "empty.c"
+        empty.write_text("")
+        digest = hashlib.sha256(ckernel.KERNEL_SOURCE.encode()).hexdigest()
+        (tmp_path / "alvc").mkdir()
+        library = str(tmp_path / "alvc" / f"waterfill-{digest[:16]}.so")
+        subprocess.run(
+            [compiler, "-fPIC", "-shared", str(empty), "-o", library],
+            check=True,
+        )
+
+        assert ckernel.waterfill_kernel() is not None
+        engine = self._batched()
+        assert engine.kernel_active
+        engine.add_flow("f0", [A, B])
+        engine.add_flow("f1", [B])
+        assert engine.rates_by_flow() == max_min_fair_rates(
+            {"f0": [A, B], "f1": [B]}, CAPS
+        )
+        # The rebuilt object replaced the stale one; no scratch is left.
+        assert sorted(os.listdir(os.path.dirname(library))) == [
+            os.path.basename(library)
+        ]
