@@ -1560,11 +1560,14 @@ def experiment_e21_control_plane_throughput(
     ``seeds`` × ``clusters_per_fabric`` on a 1024-server fabric ≈ a
     k=16 fat-tree) and prove it with an order-independent checksum:
 
-    * ``serial-set`` — the legacy control plane: set cover kernel,
-      fabric accessor caching off, one task per (strategy, seed) cell.
-    * ``bitset`` — the optimized kernels: ``auto`` cover kernel (lazy
-      bitset marginal cover above the interning threshold) plus fabric
-      accessor memoization, same per-cell task grid.  Its
+    * ``serial-set`` — the frozen reference control plane: the eager
+      set kernel forced for the marginal cover (the arm's
+      :class:`~repro.parallel.SweepRunner` applies
+      :func:`~repro.core.algorithms.use_kernel` in its workers), fabric
+      accessor caching off, one task per (strategy, seed) cell.
+    * ``bitset`` — the production path: the size-chosen cover kernel
+      (lazy bitset marginal cover above the interning threshold) plus
+      fabric accessor memoization, same per-cell task grid.  Its
       ``cps_speedup`` column is the headline kernel win (gate: >= 2x).
     * ``bitset-parallel`` — the same optimized kernels driven through
       :class:`~repro.parallel.SweepRunner` with per-seed *shard* tasks:
@@ -1729,8 +1732,9 @@ def experiment_e22_routing_throughput(
     Four arms answer the *same* seeded query pool and prove it with a
     CRC32 checksum over every path (and error) in query order:
 
-    * ``nx`` — the legacy path: per-query ``subgraph()`` view plus
-      ``networkx`` bidirectional BFS.  The baseline.
+    * ``nx`` — the frozen reference path
+      (:mod:`repro.sdn.nx_reference`): per-query ``subgraph()`` view
+      plus ``networkx`` bidirectional BFS.  The baseline.
     * ``csr`` — the :class:`~repro.sdn.path_engine.PathEngine` CSR
       kernel with per-AL bitmasks, **no route cache** (every query is a
       cold BFS).  Its ``speedup`` column is the headline cold-path win
@@ -1749,11 +1753,15 @@ def experiment_e22_routing_throughput(
     Each arm runs ``rounds`` times and reports its best (minimum) wall
     clock; checksums are identical across rounds because the pool is
     seeded.  ``parity`` is True when the arm's checksum matches its
-    reference — engine choice never changes any path.
+    reference — the CSR router reproduces every reference path.
     """
     from repro.exceptions import RoutingError
+    from repro.sdn import nx_reference, routing
     from repro.sdn.route_cache import RouteCache
-    from repro.sdn.routing import routes_from, shortest_path_in_al
+
+    # The two routers the arms compare: the frozen networkx reference
+    # (baseline and parity oracle) and the production CSR router.
+    routers = {"nx": nx_reference, "csr": routing}
 
     fabric = build_alvc_fabric(
         n_racks=n_racks,
@@ -1772,14 +1780,12 @@ def experiment_e22_routing_throughput(
     )
 
     def pairwise_pass(engine: str) -> tuple[int, float]:
+        shortest_path_in_al = routers[engine].shortest_path_in_al
         checksum = 0
-        hits = misses = 0
         for source, target, al in queries:
             try:
                 outcome = "/".join(
-                    shortest_path_in_al(
-                        fabric, source, target, al, engine=engine
-                    )
+                    shortest_path_in_al(fabric, source, target, al)
                 )
             except RoutingError as exc:
                 outcome = f"ERR:{exc}"
@@ -1787,6 +1793,7 @@ def experiment_e22_routing_throughput(
         return checksum, 0.0
 
     def cached_pass(engine: str) -> tuple[int, float]:
+        shortest_path_in_al = routers[engine].shortest_path_in_al
         cache = RouteCache(cache_size)
         checksum = 0
         for source, target, al in queries:
@@ -1795,9 +1802,7 @@ def experiment_e22_routing_throughput(
             if outcome is None:
                 try:
                     outcome = "/".join(
-                        shortest_path_in_al(
-                            fabric, source, target, al, engine=engine
-                        )
+                        shortest_path_in_al(fabric, source, target, al)
                     )
                 except RoutingError as exc:
                     outcome = f"ERR:{exc}"
@@ -1819,12 +1824,11 @@ def experiment_e22_routing_throughput(
     batch_pairs = sum(len(targets) for targets in groups.values())
 
     def batch_pass(engine: str) -> tuple[int, float]:
+        routes_from = routers[engine].routes_from
         checksum = 0
         for source, al in group_order:
             targets = groups[(source, al)]
-            routed = routes_from(
-                fabric, source, targets, al_switches=al, engine=engine
-            )
+            routed = routes_from(fabric, source, targets, al_switches=al)
             for target in targets:
                 path = routed.get(target)
                 outcome = (
@@ -1943,15 +1947,19 @@ def experiment_e23_service_throughput(
       journal head: unpickle and replay the (empty) tail.  Its
       ``speedup`` column is snapshot-restore wall vs full-replay wall.
 
-    Timed arms run ``rounds`` times (fresh state directory per round
-    for the mutating arms) and report the best wall clock; digests are
-    identical across rounds because everything is seeded.  ``parity``
-    is True when the arm's end-state digest matches the serial arm's —
-    batching and recovery are optimizations, never semantics.
+    The serial and batched arms take ``rounds`` alternating turns
+    (fresh state directory per turn, garbage collected before each
+    clock starts) and report their median turn; the batched
+    ``speedup`` is the median of the per-turn serial/batched wall
+    ratios, so host-speed drift between turns cancels out of it.  The
+    restore arms run ``rounds`` times and report the best wall clock.
+    Digests are identical across turns because everything is seeded.
+    ``parity`` is True when the arm's end-state digest matches the
+    serial arm's — batching and recovery are optimizations, never
+    semantics.
 
-    Defaults are CI-sized (~630 committed commands); the committed
-    ``BENCH_e23.json`` and the paper-scale figure raise ``stream_ops``
-    via kwargs, exactly like E21/E22 scale their grids.
+    Defaults are CI-sized: 315 committed commands, the size the
+    committed ``BENCH_e23.json`` was recorded at.
     """
     import shutil
     import tempfile
@@ -1986,6 +1994,8 @@ def experiment_e23_service_throughput(
         # the clock starts so both arms time pure provision/teardown.
         for service in services:
             stack.cluster(service)
+        # Collect the previous turn's garbage off this turn's clock.
+        gc.collect()
         return stack
 
     def run_serial(root: Path):
@@ -2048,27 +2058,31 @@ def experiment_e23_service_throughput(
         else Path(tempfile.mkdtemp(prefix="alvc-e23-"))
     )
     try:
-        serial_wall = float("inf")
-        serial_best = None
-        batched_wall = float("inf")
-        batched_best = None
+        serial_turns = []
+        batched_turns = []
         for round_index in range(max(1, rounds)):
             round_dir = root / f"round{round_index}"
             round_dir.mkdir(parents=True, exist_ok=True)
-            wall, *rest = run_serial(round_dir)
-            if wall < serial_wall:
-                serial_wall, serial_best = wall, rest
-            wall, *rest = run_batched(round_dir)
-            if wall < batched_wall:
-                batched_wall, batched_best = wall, rest
-        serial_latencies, serial_ops, serial_digest = serial_best
+            serial_turns.append(run_serial(round_dir))
+            batched_turns.append(run_batched(round_dir))
+        # Host speed drifts between turns, so the speedup is the median
+        # of the per-turn ratios (drift cancels within a turn), and each
+        # arm reports its median turn (turns order by wall clock).
+        batched_speedup = statistics.median(
+            serial[0] / batched[0] if batched[0] > 0 else 0.0
+            for serial, batched in zip(serial_turns, batched_turns)
+        )
+        serial_wall, serial_latencies, serial_ops, serial_digest = (
+            statistics.median_low(serial_turns)
+        )
         (
+            batched_wall,
             batched_latencies,
             batched_ops,
             batched_digest,
             batched_commits,
             batched_journal,
-        ) = batched_best
+        ) = statistics.median_low(batched_turns)
 
         def timed_restore(snapshot_path=None):
             wall = float("inf")
@@ -2114,8 +2128,6 @@ def experiment_e23_service_throughput(
             "speedup": speedup,
         }
 
-    serial_rate = serial_ops / serial_wall if serial_wall > 0 else 0.0
-    batched_rate = batched_ops / batched_wall if batched_wall > 0 else 0.0
     return [
         row(
             "serial", serial_ops, 0, serial_wall, serial_latencies,
@@ -2125,7 +2137,7 @@ def experiment_e23_service_throughput(
             "batched", batched_ops, 0, batched_wall, batched_latencies,
             batched_commits, batched_digest,
             batched_digest == serial_digest,
-            batched_rate / serial_rate if serial_rate else 0.0,
+            batched_speedup,
         ),
         row(
             "restore-replay", batched_ops, replay_result.replayed,

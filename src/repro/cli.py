@@ -362,34 +362,33 @@ def _run_chaos(options: dict) -> dict:
     return tables
 
 
-#: ``--build`` keys that are :class:`~repro.config.EngineConfig`
-#: selectors rather than :meth:`AlvcStack.build` arguments; they fold
-#: into the ``engines=`` mapping (e.g. ``--build "solver=exact"``).
-#: ``workers`` is the one non-string selector and coerces to int.
-_ENGINE_BUILD_KEYS = (
-    "cover_kernel",
-    "routing",
-    "solver",
-    "sim_engine",
-    "admission",
-    "workers",
-)
-
-
 def _parse_build(spec: str) -> dict:
     """Parse ``--build key=value,key=value`` into build kwargs.
 
     Values coerce in order: bool (``true``/``false``), int, float, and
     finally plain string — enough for every scalar
-    :meth:`AlvcStack.build` argument.  Engine selectors
-    (``cover_kernel``, ``routing``, ``solver``, ``sim_engine``,
-    ``admission``, ``workers``) fold into the ``engines=`` mapping, so
+    :meth:`AlvcStack.build` argument.  :class:`~repro.config.EngineConfig`
+    fields (``solver``, ``sim_engine``, ``admission``, ``workers``) fold
+    into the ``engines=`` mapping, so
     ``--build "n_racks=8,sim_engine=vector,admission=batched"`` serves
     a stack on the batched vector data plane.
 
     Raises:
         ValueError: on an entry with no ``=``.
+        ValidationError: on a key that is neither an engine field, an
+            :meth:`AlvcStack.build` argument nor a fabric option.
     """
+    import dataclasses
+
+    from repro.config import EngineConfig
+    from repro.exceptions import ValidationError
+    from repro.stack import AlvcStack
+    from repro.topology.generators import build_alvc_fabric
+
+    engine_keys = {field.name for field in dataclasses.fields(EngineConfig)}
+    build_keys = set(inspect.signature(AlvcStack.build).parameters) | set(
+        inspect.signature(build_alvc_fabric).parameters
+    )
     options: dict = {}
     for entry in filter(None, spec.split(",")):
         key, separator, value = entry.partition("=")
@@ -399,11 +398,13 @@ def _parse_build(spec: str) -> dict:
             raise ValueError(
                 f"bad --build entry {entry!r} (want key=value)"
             )
-        if key in _ENGINE_BUILD_KEYS:
+        if key in engine_keys:
             options.setdefault("engines", {})[key] = (
                 int(value) if key == "workers" else value
             )
             continue
+        if key not in build_keys:
+            raise ValidationError(f"unknown --build key {key!r}")
         if value.lower() in ("true", "false"):
             options[key] = value.lower() == "true"
             continue
@@ -854,17 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--engine",
-        choices=("auto", "csr", "nx"),
-        default="auto",
-        help=(
-            "routing engine for every path computation in the run: csr "
-            "(the CSR path engine), nx (the networkx reference), or "
-            "auto (csr when fabric caching is on, the default); both "
-            "engines produce bit-identical results"
-        ),
-    )
-    run_parser.add_argument(
         "--telemetry",
         choices=("json", "prom", "off"),
         default="off",
@@ -921,14 +911,10 @@ def main(argv: list[str] | None = None) -> int:
     mode = getattr(args, "telemetry", "off")
     telemetry = resolve(mode != "off")
     first = True
-    from repro.sdn.routing import use_engine as _use_routing_engine
-
     # Experiments build their own orchestrators/simulators, which pick
     # up the ambient telemetry at construction — so install ours for
-    # the duration of the run.  The routing engine override scopes the
-    # same way (engine choice never changes any table, only speed).
-    engine = getattr(args, "engine", "auto")
-    with use_telemetry(telemetry), _use_routing_engine(engine):
+    # the duration of the run.
+    with use_telemetry(telemetry):
         for exp_id in requested:
             if not first:
                 print()

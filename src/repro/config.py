@@ -1,27 +1,20 @@
 """Typed engine selection — one config object for every backend knob.
 
-Three selector knobs grew organically across PRs 4–5:
-
-* ``kernel=`` on the cover functions (``"auto"``/``"set"``/``"bitset"``,
-  :mod:`repro.core.algorithms`);
-* ``engine=``/``routing_engine=`` on routing, the orchestrator and the
-  simulators (``"auto"``/``"csr"``/``"nx"``, :mod:`repro.sdn.routing`);
-* ``workers=`` on the parallel sweeps (:mod:`repro.parallel`).
-
-:class:`EngineConfig` unifies them behind one frozen, validated object
-accepted by :meth:`repro.stack.AlvcStack.build`::
+:class:`EngineConfig` bundles the implementation choices a stack runs
+on behind one frozen, validated object accepted by
+:meth:`repro.stack.AlvcStack.build`::
 
     stack = AlvcStack.build(
-        engines=EngineConfig(cover_kernel="bitset", routing="csr", workers=4)
+        engines=EngineConfig(solver="exact", admission="batched", workers=4)
     )
 
-The stack threads the config through every collaborator (cluster
-manager, AL constructor, reconfigurators, orchestrator routing,
-sweep defaults) — no process-global state is touched.  The per-call
-spellings that predate it (``routing_engine=``/``engine=`` on
-``build``, ``workers=``/``kernel=`` on ``run_sweep``, ``engine=`` on
-``run_workload`` and the simulator) were removed at the v1.0 cut; see
-the removal table in ``docs/api_guide.md``.
+The stack threads the config through every collaborator; no
+process-global state is touched.  The ``cover_kernel`` and ``routing``
+selectors are gone — every value they took was bit-identical on
+outputs — but journals and snapshots that carry them still restore
+(:mod:`repro.service.restore`, :meth:`EngineConfig.__setstate__`).
+The per-call spellings that predate the config were removed at the
+v1.0 cut; see the removal table in ``docs/api_guide.md``.
 """
 
 from __future__ import annotations
@@ -29,12 +22,6 @@ from __future__ import annotations
 import dataclasses
 
 from repro.exceptions import ValidationError
-
-#: Recognized cover-kernel selectors (see :mod:`repro.core.algorithms`).
-COVER_KERNELS = ("auto", "set", "bitset")
-
-#: Recognized routing-engine selectors (see :mod:`repro.sdn.routing`).
-ROUTING_ENGINES = ("auto", "csr", "nx")
 
 #: Recognized solver-engine selectors for AL construction and placement
 #: (see :mod:`repro.opt`): greedy heuristics, the certified exact MILP,
@@ -58,15 +45,11 @@ ADMISSION_MODES = ("auto", "batched")
 class EngineConfig:
     """Which backend implementations a stack runs on.
 
-    Every selector is purely an implementation choice: all kernels and
-    engines are bit-identical on outputs, so an :class:`EngineConfig`
-    never changes an experiment's result — only its speed.
+    Apart from ``solver``, every selector is purely an implementation
+    choice: the engines are bit-identical on outputs, so they never
+    change an experiment's result — only its speed.
 
     Attributes:
-        cover_kernel: set-cover kernel for AL construction and repair
-            (``"auto"`` picks bitset for universes of 64+ elements).
-        routing: path-computation backend (``"auto"`` picks the CSR
-            engine when the fabric's accessor caching is on).
         solver: optimization engine for AL construction and chain
             placement — ``"greedy"`` (the paper's heuristics, default),
             ``"exact"`` (the certified :mod:`repro.opt` MILPs), or
@@ -88,24 +71,12 @@ class EngineConfig:
             (``1`` runs fully in-process).
     """
 
-    cover_kernel: str = "auto"
-    routing: str = "auto"
     solver: str = "greedy"
     sim_engine: str = "vector"
     admission: str = "auto"
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.cover_kernel not in COVER_KERNELS:
-            raise ValidationError(
-                f"unknown cover kernel {self.cover_kernel!r} "
-                f"(expected one of {', '.join(COVER_KERNELS)})"
-            )
-        if self.routing not in ROUTING_ENGINES:
-            raise ValidationError(
-                f"unknown routing engine {self.routing!r} "
-                f"(expected one of {', '.join(ROUTING_ENGINES)})"
-            )
         if self.solver not in SOLVER_ENGINES:
             raise ValidationError(
                 f"unknown solver engine {self.solver!r} "
@@ -147,6 +118,29 @@ class EngineConfig:
             f"engines must be an EngineConfig, a dict, or None, "
             f"got {type(value).__name__}"
         )
+
+    def __setstate__(self, state: list) -> None:
+        """Unpickle by field name, so old snapshots never shift a field.
+
+        A frozen slots dataclass pickles its fields as a positional
+        list.  Snapshots written before the ``cover_kernel`` and
+        ``routing`` selectors were removed carry six entries led by
+        those two, so they are dropped; any other length is refused,
+        which makes restore fall back to genesis replay.  Values stay
+        unvalidated, as with the stock unpickler — restore folds
+        retired values afterwards.
+        """
+        names = [field.name for field in dataclasses.fields(self)]
+        if len(state) == len(names) + 2:
+            state = state[2:]
+        if len(state) != len(names):
+            raise TypeError(
+                f"EngineConfig state has {len(state)} entries, expected "
+                f"{len(names)} (or {len(names) + 2} before the selector "
+                f"removal)"
+            )
+        for name, value in zip(names, state):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         """JSON-serializable form (journal genesis records store this)."""

@@ -83,16 +83,10 @@ class AlConstructor:
         strategy: AlConstructionStrategy = AlConstructionStrategy.VERTEX_COVER_GREEDY,
         seed: int = 0,
         telemetry: Telemetry | None = None,
-        kernel: str = "auto",
         engine: str = "greedy",
     ) -> None:
-        from repro.config import COVER_KERNELS, SOLVER_ENGINES
+        from repro.config import SOLVER_ENGINES
 
-        if kernel not in COVER_KERNELS:
-            raise ValidationError(
-                f"unknown cover kernel {kernel!r} "
-                f"(expected one of {', '.join(COVER_KERNELS)})"
-            )
         if engine not in SOLVER_ENGINES:
             raise ValidationError(
                 f"unknown solver engine {engine!r} "
@@ -100,7 +94,6 @@ class AlConstructor:
             )
         self._dcn = dcn
         self._strategy = strategy
-        self._kernel = kernel
         self._engine = engine
         self._rng = random.Random(seed)
         self._telemetry = (
@@ -141,11 +134,6 @@ class AlConstructor:
     def strategy(self) -> AlConstructionStrategy:
         """The algorithm this constructor runs."""
         return self._strategy
-
-    @property
-    def kernel(self) -> str:
-        """The cover kernel the stages run on (see :class:`EngineConfig`)."""
-        return self._kernel
 
     @property
     def engine(self) -> str:
@@ -298,17 +286,11 @@ class AlConstructor:
             AlConstructionStrategy.VERTEX_COVER_GREEDY,
             AlConstructionStrategy.IN_DEGREE_GREEDY,
         ):
-            return greedy_max_weight_cover(
-                universe, candidates, weights, kernel=self._kernel
-            )
+            return greedy_max_weight_cover(universe, candidates, weights)
         if self._strategy is AlConstructionStrategy.MARGINAL_GREEDY:
-            return greedy_marginal_cover(
-                universe, candidates, kernel=self._kernel
-            )
+            return greedy_marginal_cover(universe, candidates)
         if self._strategy is AlConstructionStrategy.RANDOM:
-            return random_cover(
-                universe, candidates, self._rng, kernel=self._kernel
-            )
+            return random_cover(universe, candidates, self._rng)
         if self._strategy is AlConstructionStrategy.EXACT:
             return exact_min_cover(universe, candidates)
         raise TopologyError(f"unknown strategy {self._strategy!r}")

@@ -14,33 +14,32 @@ random selection of the authors' earlier work [15], an exact
 branch-and-bound set cover for optimality gaps, and König's-theorem
 bipartite minimum vertex cover.
 
-Two interchangeable **kernels** back the three heuristic covers:
+Two interchangeable **kernels** back :func:`greedy_marginal_cover`:
 
-* the **set kernel** — the original frozenset formulation, kept as the
-  readable reference implementation;
+* the **set kernel** — the eager frozenset formulation, the readable
+  reference;
 * the **bitset kernel** — an element→bit-position interning pass turns
   every candidate into one Python integer, so marginal gains are single
-  ``mask & uncovered`` AND operations and coverage updates are
-  ``uncovered &= ~gain``; :func:`greedy_marginal_cover` additionally
-  runs a *lazy-greedy* max-heap that re-evaluates only stale heap tops
-  instead of rescanning every remaining candidate per round.
+  ``mask & uncovered`` AND operations, and a *lazy-greedy* max-heap
+  re-evaluates only stale heap tops instead of rescanning every
+  remaining candidate per round.
 
-Both kernels produce **bit-for-bit identical** :class:`CoverResult`
-values (selection order, the full :class:`CoverStep` trace, the
-universe) — the randomized parity suite in
-``tests/core/test_cover_kernels.py`` holds them to that.  ``auto`` (the
-default) picks the bitset kernel for :func:`greedy_marginal_cover`
-once the universe reaches :data:`BITSET_KERNEL_THRESHOLD` elements —
-that algorithm re-evaluates gains many times per candidate, which
-amortizes the interning pass (measured 4–8× on fat-tree-scale
-fabrics).  The single-pass covers (:func:`greedy_max_weight_cover`,
+Both produce **bit-for-bit identical** :class:`CoverResult` values
+(selection order, the full :class:`CoverStep` trace, the universe) —
+the randomized parity suite in ``tests/core/test_cover_kernels.py``
+holds them to that.  The universe size picks the kernel: the bitset
+kernel runs once it reaches :data:`BITSET_KERNEL_THRESHOLD` elements,
+where the interning pass amortizes (measured 4–8× on fat-tree-scale
+fabrics).  :func:`use_kernel` forces one kernel process-wide; it
+exists for E21's ``serial-set`` baseline arm (applied in sweep workers
+by :class:`repro.parallel.SweepRunner`) and for the parity suite.
+
+The single-pass covers (:func:`greedy_max_weight_cover`,
 :func:`random_cover`) evaluate each candidate's gain exactly once, and
 materializing each step's ``newly_covered`` trace from a mask costs a
 Python-level per-bit decode loop that C-level frozenset intersections
-beat at every measured size/density — so ``auto`` keeps them on the
-set kernel, while ``kernel="bitset"`` (or
-``set_default_kernel("bitset")``) remains fully supported
-and parity-tested on all three.
+beat at every measured size and density — so they run on frozensets
+only.
 """
 
 from __future__ import annotations
@@ -57,28 +56,26 @@ import networkx as nx
 from repro.exceptions import CoverInfeasibleError, ValidationError
 from repro.ids import index_of, kind_prefix
 
-#: Universe size at which ``kernel="auto"`` switches
-#: :func:`greedy_marginal_cover` from the frozenset reference kernel to
-#: the interned bitset kernel (with the lazy-greedy heap).  Below this
-#: the interning pass costs more than it saves; at fat-tree scale
-#: (hundreds to thousands of machines) the lazy bitset kernel wins 4–8×.
-#: The single-pass covers stay on the set kernel under ``auto`` — they
-#: touch each candidate once, so interning never amortizes there.
+#: Universe size at which :func:`greedy_marginal_cover` switches from
+#: the frozenset reference kernel to the interned bitset kernel (with
+#: the lazy-greedy heap).  Below this the interning pass costs more
+#: than it saves; at fat-tree scale (hundreds to thousands of machines)
+#: the lazy bitset kernel wins 4–8×.
 BITSET_KERNEL_THRESHOLD = 64
 
+#: Values of the process-wide marginal-cover kernel switch.
 _KERNELS = ("auto", "set", "bitset")
 
-#: Process-wide default used when call sites pass ``kernel="auto"``.
+#: The forced kernel, or ``"auto"`` for the size threshold.
 _default_kernel = "auto"
 
 
 def set_default_kernel(kernel: str) -> str:
-    """Set the process-wide cover kernel; returns the previous value.
+    """Set the process-wide marginal-cover kernel; returns the previous.
 
-    ``"auto"`` restores the size-threshold heuristic; ``"set"`` or
-    ``"bitset"`` force one kernel for every cover call that does not
-    pass an explicit non-auto ``kernel=`` argument (sweep workers use
-    this to apply a benchmark arm's kernel choice after spawning).
+    ``"auto"`` restores the size threshold; ``"set"`` or ``"bitset"``
+    force one kernel for every :func:`greedy_marginal_cover` call (sweep
+    workers use this to apply a benchmark arm's kernel after spawning).
     """
     global _default_kernel
     if kernel not in _KERNELS:
@@ -100,27 +97,13 @@ def use_kernel(kernel: str) -> Iterator[str]:
         set_default_kernel(previous)
 
 
-def _resolve_kernel(
-    kernel: str, universe: frozenset, *, amortized: bool = False
-) -> str:
-    """Turn a ``kernel=`` argument into ``"set"`` or ``"bitset"``.
-
-    ``amortized`` is True for algorithms that re-evaluate candidate
-    gains many times (the lazy-greedy marginal cover): only those cross
-    to the bitset kernel under ``auto``, because one-shot gain scans pay
-    the interning pass without ever earning it back.
-    """
-    if kernel not in _KERNELS:
-        raise ValidationError(
-            f"unknown cover kernel {kernel!r} (expected one of {_KERNELS})"
-        )
-    if kernel == "auto":
-        kernel = _default_kernel
-    if kernel == "auto":
-        if amortized and len(universe) >= BITSET_KERNEL_THRESHOLD:
-            return "bitset"
-        return "set"
-    return kernel
+def _marginal_kernel(universe: frozenset) -> str:
+    """``"set"`` or ``"bitset"`` for one marginal-cover instance."""
+    if _default_kernel != "auto":
+        return _default_kernel
+    if len(universe) >= BITSET_KERNEL_THRESHOLD:
+        return "bitset"
+    return "set"
 
 
 def natural_sort_key(entity_id: Hashable):
@@ -294,43 +277,6 @@ def _require_weights(
         )
 
 
-def _greedy_max_weight_bitset(
-    target: frozenset,
-    candidates: Mapping[Hashable, frozenset],
-    weights: Mapping[Hashable, float],
-) -> CoverResult:
-    interned = _BitUniverse(target, candidates)
-    interned.check_feasible()
-    _require_weights(candidates, weights)
-    order = sorted(
-        candidates,
-        key=lambda cand: (-weights[cand], natural_sort_key(cand)),
-    )
-    masks = interned.masks
-    steps: list[CoverStep] = []
-    selected: list = []
-    uncovered = interned.full_mask
-    for candidate in order:
-        if not uncovered:
-            break
-        gain_mask = masks[candidate] & uncovered
-        take = bool(gain_mask)
-        steps.append(
-            CoverStep(
-                candidate=candidate,
-                weight=float(weights[candidate]),
-                newly_covered=interned.decode(gain_mask),
-                selected=take,
-            )
-        )
-        if take:
-            selected.append(candidate)
-            uncovered &= ~gain_mask
-    return CoverResult(
-        selected=tuple(selected), steps=tuple(steps), universe=target
-    )
-
-
 def _greedy_marginal_bitset(
     target: frozenset, candidates: Mapping[Hashable, frozenset]
 ) -> CoverResult:
@@ -387,35 +333,34 @@ def _greedy_marginal_bitset(
     )
 
 
-def _random_cover_bitset(
+def _single_pass_cover(
     target: frozenset,
     candidates: Mapping[Hashable, frozenset],
-    rng: random.Random,
+    order: list,
+    weights: Mapping[Hashable, float],
 ) -> CoverResult:
-    interned = _BitUniverse(target, candidates)
-    interned.check_feasible()
-    order = sorted(candidates, key=natural_sort_key)
-    rng.shuffle(order)
-    masks = interned.masks
+    """Visit ``order`` once, selecting each candidate that still covers
+    something, until the universe is covered (unweighted steps record
+    weight 0.0)."""
     steps: list[CoverStep] = []
     selected: list = []
-    uncovered = interned.full_mask
+    uncovered = set(target)
     for candidate in order:
         if not uncovered:
             break
-        gain_mask = masks[candidate] & uncovered
-        take = bool(gain_mask)
+        gain = frozenset(candidates[candidate] & uncovered)
+        take = bool(gain)
         steps.append(
             CoverStep(
                 candidate=candidate,
-                weight=0.0,
-                newly_covered=interned.decode(gain_mask),
+                weight=float(weights.get(candidate, 0.0)),
+                newly_covered=gain,
                 selected=take,
             )
         )
         if take:
             selected.append(candidate)
-            uncovered &= ~gain_mask
+            uncovered -= gain
     return CoverResult(
         selected=tuple(selected), steps=tuple(steps), universe=target
     )
@@ -425,8 +370,6 @@ def greedy_max_weight_cover(
     universe,
     candidates: Mapping[Hashable, frozenset],
     weights: Mapping[Hashable, float],
-    *,
-    kernel: str = "auto",
 ) -> CoverResult:
     """The paper's maximum-weighted greedy cover (Section III.C).
 
@@ -441,11 +384,6 @@ def greedy_max_weight_cover(
         candidates: candidate id → set of elements it covers.
         weights: candidate id → static weight (e.g. a ToR's incoming plus
             outgoing connection count).
-        kernel: ``"set"``, ``"bitset"``, or ``"auto"``.  ``auto`` keeps
-            this single-pass cover on the set kernel (interning never
-            amortizes over one gain scan) unless
-            :func:`set_default_kernel` forces bitset process-wide.
-            Both kernels return bit-for-bit identical results.
 
     Raises:
         CoverInfeasibleError: when the union of all candidates misses part
@@ -460,43 +398,18 @@ def greedy_max_weight_cover(
     degenerate = _degenerate_cover(target, candidates)
     if degenerate is not None:
         return degenerate
-    if _resolve_kernel(kernel, target) == "bitset":
-        return _greedy_max_weight_bitset(target, candidates, weights)
     _check_feasible(target, candidates)
     _require_weights(candidates, weights)
     order = sorted(
         candidates,
         key=lambda cand: (-weights[cand], natural_sort_key(cand)),
     )
-    steps: list[CoverStep] = []
-    selected: list = []
-    uncovered = set(target)
-    for candidate in order:
-        if not uncovered:
-            break
-        gain = frozenset(candidates[candidate] & uncovered)
-        take = bool(gain)
-        steps.append(
-            CoverStep(
-                candidate=candidate,
-                weight=float(weights[candidate]),
-                newly_covered=gain,
-                selected=take,
-            )
-        )
-        if take:
-            selected.append(candidate)
-            uncovered -= gain
-    return CoverResult(
-        selected=tuple(selected), steps=tuple(steps), universe=target
-    )
+    return _single_pass_cover(target, candidates, order, weights)
 
 
 def greedy_marginal_cover(
     universe,
     candidates: Mapping[Hashable, frozenset],
-    *,
-    kernel: str = "auto",
 ) -> CoverResult:
     """Classic greedy set cover: pick the candidate covering the most
     still-uncovered elements each round (ablation baseline, experiment E9).
@@ -511,7 +424,7 @@ def greedy_marginal_cover(
     degenerate = _degenerate_cover(target, candidates)
     if degenerate is not None:
         return degenerate
-    if _resolve_kernel(kernel, target, amortized=True) == "bitset":
+    if _marginal_kernel(target) == "bitset":
         return _greedy_marginal_bitset(target, candidates)
     _check_feasible(target, candidates)
     steps: list[CoverStep] = []
@@ -550,48 +463,21 @@ def random_cover(
     universe,
     candidates: Mapping[Hashable, frozenset],
     rng: random.Random,
-    *,
-    kernel: str = "auto",
 ) -> CoverResult:
     """Random selection: the authors' earlier AL construction ([15]).
 
     Candidates are visited in uniformly random order; each is selected if
     it still covers something.  Expected AL sizes exceed the greedy's —
-    the gap is exactly what experiment E4 quantifies.  Both kernels
-    consume the ``rng`` identically, so a given seed yields the same
-    cover either way.
+    the gap is exactly what experiment E4 quantifies.
     """
     target = frozenset(universe)
     degenerate = _degenerate_cover(target, candidates)
     if degenerate is not None:
         return degenerate
-    if _resolve_kernel(kernel, target) == "bitset":
-        return _random_cover_bitset(target, candidates, rng)
     _check_feasible(target, candidates)
     order = sorted(candidates, key=natural_sort_key)
     rng.shuffle(order)
-    steps: list[CoverStep] = []
-    selected: list = []
-    uncovered = set(target)
-    for candidate in order:
-        if not uncovered:
-            break
-        gain = frozenset(candidates[candidate] & uncovered)
-        take = bool(gain)
-        steps.append(
-            CoverStep(
-                candidate=candidate,
-                weight=0.0,
-                newly_covered=gain,
-                selected=take,
-            )
-        )
-        if take:
-            selected.append(candidate)
-            uncovered -= gain
-    return CoverResult(
-        selected=tuple(selected), steps=tuple(steps), universe=target
-    )
+    return _single_pass_cover(target, candidates, order, {})
 
 
 _EXACT_LIMIT = 24

@@ -62,21 +62,18 @@ class ClusterManager:
         strategy: AlConstructionStrategy = AlConstructionStrategy.VERTEX_COVER_GREEDY,
         seed: int = 0,
         telemetry: Telemetry | None = None,
-        kernel: str = "auto",
         engine: str = "greedy",
     ) -> None:
         self._telemetry = (
             telemetry if telemetry is not None else current_telemetry()
         )
         self._inventory = inventory
-        self._kernel = kernel
         self._engine = engine
         self._constructor = AlConstructor(
             inventory.network,
             strategy=strategy,
             seed=seed,
             telemetry=self._telemetry,
-            kernel=kernel,
             engine=engine,
         )
         self._clusters: dict[ClusterId, VirtualCluster] = {}
@@ -265,11 +262,6 @@ class ClusterManager:
     def inventory(self) -> MachineInventory:
         """The VM inventory the clusters are built over."""
         return self._inventory
-
-    @property
-    def kernel(self) -> str:
-        """The cover kernel AL construction and repair run on."""
-        return self._kernel
 
     @property
     def engine(self) -> str:

@@ -618,16 +618,6 @@ class PlacementSolver:
         return optical
 
 
-def _first_fit(
-    free: Mapping[OpsId, ResourceVector], demand: ResourceVector
-) -> OpsId | None:
-    """First router (sorted order) whose free capacity fits the demand."""
-    for ops in sorted(free):
-        if demand.fits_within(free[ops]):
-            return ops
-    return None
-
-
 def _forbidden_hosts(
     conflicts: Mapping[int, frozenset],
     optical: Mapping[int, OpsId],

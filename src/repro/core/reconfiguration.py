@@ -61,14 +61,12 @@ class AlReconfigurator:
         machine_attachments: Mapping[str, Iterable[TorId]],
         *,
         failed_ops: Iterable[OpsId] = (),
-        kernel: str = "auto",
         recorder=None,
     ) -> None:
         from repro.service.journal import NULL_RECORDER
 
         self._dcn = dcn
         self._layer = layer
-        self._kernel = kernel
         # Annotation hook: repairs running inside a journaled command
         # leave nested=True audit rows in the state journal (never
         # replayed — the parent command reproduces them).
@@ -280,7 +278,7 @@ class AlReconfigurator:
                 candidates[ops] = covered
         weights = {ops: len(covered) for ops, covered in candidates.items()}
         result: CoverResult = greedy_max_weight_cover(
-            tors, candidates, weights, kernel=self._kernel
+            tors, candidates, weights
         )
         return frozenset(result.selected)
 
@@ -289,7 +287,7 @@ class AlReconfigurator:
     ) -> ReconfigurationResult:
         from repro.core.abstraction_layer import AlConstructor
 
-        constructor = AlConstructor(self._dcn, kernel=self._kernel)
+        constructor = AlConstructor(self._dcn)
         old = self._layer
         new_layer = constructor.construct(
             old.cluster, self._attachments, available_ops=pool

@@ -57,8 +57,8 @@ def run_sweep_chunk(
 
     Top-level on purpose: the spawn start method pickles this function
     by qualified name.  Each chunk gets a fresh recording telemetry
-    (when the parent records) and applies the parent's cover-kernel
-    choice before running its trials in order.
+    (when the parent records) and applies the parent's marginal-cover
+    kernel choice before running its trials in order.
 
     Returns:
         ``(results, metrics snapshot or None)``.
@@ -87,9 +87,10 @@ class SweepRunner:
         telemetry: where worker metrics roll up (and what inline runs
             record into); defaults to the ambient
             :func:`~repro.observability.current_telemetry`.
-        kernel: cover kernel applied inside every trial (``"auto"``,
-            ``"set"``, or ``"bitset"``) — propagated to workers so a
-            benchmark arm's kernel choice survives the spawn.
+        kernel: marginal-cover kernel forced inside every trial
+            (``"auto"``, ``"set"``, or ``"bitset"``; see
+            :func:`repro.core.algorithms.use_kernel`) — propagated to
+            workers so a benchmark arm's choice survives the spawn.
     """
 
     def __init__(

@@ -27,12 +27,12 @@ The kernels deliberately replicate the traversal order of the
 (alternating smaller-fringe BFS), ``shortest_simple_paths`` (Yen with a
 ``PathBuffer`` heap and its ``len``-based cost bookkeeping), and
 ``single_source_shortest_path`` (level BFS) — so the same fabric yields
-the same paths under either engine, tie-breaks included.  Tie-breaking
-is therefore deterministic fabric-construction (insertion) order.
+the same paths as the frozen :mod:`repro.sdn.nx_reference`, tie-breaks
+included.  Tie-breaking is therefore deterministic fabric-construction
+(insertion) order.
 
 Use :func:`engine_for` to get the engine attached to a fabric; the
-public entry points live in :mod:`repro.sdn.routing` behind the
-``engine="auto"|"csr"|"nx"`` selector.
+public entry points live in :mod:`repro.sdn.routing`.
 """
 
 from __future__ import annotations

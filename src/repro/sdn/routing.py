@@ -5,109 +5,37 @@ the isolation property of AL-VC slices — while ``chain_path`` concatenates
 per-segment shortest paths so a flow visits its chain's VNF hosts in order
 (the "packet processing order" of Section IV.A).
 
-Every routing function accepts an ``engine`` selector:
-
-* ``"nx"`` — the original ``networkx`` implementation (per-query
-  subgraph views, generic dict BFS);
-* ``"csr"`` — the :class:`repro.sdn.path_engine.PathEngine` CSR kernel
-  (interned int ids, flat adjacency arrays, per-AL bitmasks);
-* ``"auto"`` (default) — CSR when the fabric's accessor caching is
-  enabled (:attr:`DataCenterNetwork.caching_enabled`), otherwise the
-  ``networkx`` reference path.
-
-Both engines produce **bit-identical paths and errors** — the CSR
-kernels replicate the exact traversal order of the ``networkx``
-routines they replace, so engine choice never changes an experiment's
-output.  The process-wide default is controlled with
-:func:`set_default_engine` / :func:`use_engine`.
+Every entry point validates its endpoints here and answers the query on
+the fabric's :class:`repro.sdn.path_engine.PathEngine` CSR kernel
+(interned int ids, flat adjacency arrays, per-AL bitmasks).  The
+original ``networkx`` formulation survives only as the test oracle and
+E22 baseline in :mod:`repro.sdn.nx_reference`; the kernels replicate
+its traversal order, so both return identical paths and errors.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import networkx as nx
 
-from repro.exceptions import RoutingError, ValidationError
+from repro.exceptions import RoutingError
 from repro.ids import NodeKind
 from repro.sdn.path_engine import PathEngineNoPath, engine_for
 from repro.topology.datacenter import DataCenterNetwork
 
-#: Recognized values for the ``engine`` selector.
-ROUTING_ENGINES = ("auto", "csr", "nx")
-
-_default_engine = "auto"
-
-
-def set_default_engine(engine: str) -> str:
-    """Set the process-wide routing engine; returns the previous one.
-
-    Raises:
-        ValidationError: for names outside :data:`ROUTING_ENGINES`.
-    """
-    global _default_engine
-    if engine not in ROUTING_ENGINES:
-        raise ValidationError(
-            f"unknown routing engine {engine!r}; expected one of "
-            f"{ROUTING_ENGINES}"
-        )
-    previous = _default_engine
-    _default_engine = engine
-    return previous
-
-
-def get_default_engine() -> str:
-    """The current process-wide routing engine selector."""
-    return _default_engine
-
-
-@contextlib.contextmanager
-def use_engine(engine: str) -> Iterator[None]:
-    """Scoped engine override (benchmark arms, parity tests, CLI)."""
-    previous = set_default_engine(engine)
-    try:
-        yield
-    finally:
-        set_default_engine(previous)
-
-
-def _resolve_engine(dcn: DataCenterNetwork, engine: str | None) -> str:
-    """Collapse ``engine`` (or the default) to ``"csr"`` or ``"nx"``."""
-    if engine is None:
-        engine = _default_engine
-    elif engine not in ROUTING_ENGINES:
-        raise ValidationError(
-            f"unknown routing engine {engine!r}; expected one of "
-            f"{ROUTING_ENGINES}"
-        )
-    if engine == "auto":
-        return "csr" if dcn.caching_enabled else "nx"
-    return engine
-
 
 def simple_path(
-    dcn: DataCenterNetwork,
-    source: str,
-    target: str,
-    *,
-    engine: str | None = None,
+    dcn: DataCenterNetwork, source: str, target: str
 ) -> list[str]:
     """Unrestricted shortest path between two fabric nodes."""
     if not dcn.has_node(source):
         raise RoutingError(f"Source {source} is not in G")
     if not dcn.has_node(target):
         raise RoutingError(f"Target {target} is not in G")
-    if _resolve_engine(dcn, engine) == "csr":
-        try:
-            return engine_for(dcn).route(source, target)
-        except PathEngineNoPath:
-            raise RoutingError(f"no path from {source} to {target}") from None
     try:
-        return nx.shortest_path(dcn.graph, source, target)
-    except nx.NodeNotFound as exc:  # pragma: no cover - validated above
-        raise RoutingError(str(exc)) from None
-    except nx.NetworkXNoPath:
+        return engine_for(dcn).route(source, target)
+    except PathEngineNoPath:
         raise RoutingError(f"no path from {source} to {target}") from None
 
 
@@ -119,10 +47,10 @@ def _check_al_endpoints(
 ) -> None:
     """Shared endpoint validation for AL-restricted queries.
 
-    Both engines (and every AL-restricted entry point, including
-    :func:`k_shortest_paths`) raise identical errors: unknown nodes
-    first, then AL membership — an OPS endpoint outside the layer is an
-    AL violation, never a misleading "unknown endpoint".
+    Every AL-restricted entry point (including :func:`k_shortest_paths`)
+    raises identical errors: unknown nodes first, then AL membership —
+    an OPS endpoint outside the layer is an AL violation, never a
+    misleading "unknown endpoint".
     """
     if not dcn.has_node(source) or not dcn.has_node(target):
         raise RoutingError(f"unknown endpoint in ({source}, {target})")
@@ -133,23 +61,11 @@ def _check_al_endpoints(
             )
 
 
-def _al_subgraph(dcn: DataCenterNetwork, allowed_ops: frozenset):
-    """The ``networkx`` engine's per-query restricted view."""
-    graph = dcn.graph
-    return graph.subgraph(
-        node
-        for node in graph
-        if dcn.kind_of(node) is not NodeKind.OPS or node in allowed_ops
-    )
-
-
 def shortest_path_in_al(
     dcn: DataCenterNetwork,
     source: str,
     target: str,
     al_switches: Iterable[str],
-    *,
-    engine: str | None = None,
 ) -> list[str]:
     """Shortest path whose optical hops all belong to one abstraction layer.
 
@@ -162,30 +78,33 @@ def shortest_path_in_al(
     """
     allowed_ops = frozenset(al_switches)
     _check_al_endpoints(dcn, source, target, allowed_ops)
-    if _resolve_engine(dcn, engine) == "csr":
-        try:
-            return engine_for(dcn).route(source, target, allowed_ops)
-        except PathEngineNoPath:
-            raise RoutingError(
-                f"abstraction layer {sorted(allowed_ops)} does not connect "
-                f"{source} to {target}"
-            ) from None
-    restricted = _al_subgraph(dcn, allowed_ops)
     try:
-        return nx.shortest_path(restricted, source, target)
-    except nx.NetworkXNoPath:
+        return engine_for(dcn).route(source, target, allowed_ops)
+    except PathEngineNoPath:
         raise RoutingError(
             f"abstraction layer {sorted(allowed_ops)} does not connect "
             f"{source} to {target}"
         ) from None
 
 
+def _join_segments(waypoints: Sequence[str], route) -> list[str]:
+    """Concatenate ``route(source, target)`` over consecutive waypoints;
+    repeated waypoints add no hops."""
+    if len(waypoints) < 2:
+        raise RoutingError(
+            f"chain path needs at least source and target, got {waypoints!r}"
+        )
+    full_path: list[str] = [waypoints[0]]
+    for source, target in zip(waypoints, waypoints[1:]):
+        if source != target:
+            full_path.extend(route(source, target)[1:])
+    return full_path
+
+
 def chain_path(
     dcn: DataCenterNetwork,
     waypoints: Sequence[str],
     al_switches: Iterable[str] | None = None,
-    *,
-    engine: str | None = None,
 ) -> list[str]:
     """Path visiting ``waypoints`` in order (source, VNF hosts…, target).
 
@@ -196,22 +115,11 @@ def chain_path(
     Returns:
         The concatenated node path, including source and target.
     """
-    if len(waypoints) < 2:
-        raise RoutingError(
-            f"chain path needs at least source and target, got {waypoints!r}"
-        )
-    full_path: list[str] = [waypoints[0]]
-    for source, target in zip(waypoints, waypoints[1:]):
-        if source == target:
-            continue
-        if al_switches is None:
-            segment = simple_path(dcn, source, target, engine=engine)
-        else:
-            segment = shortest_path_in_al(
-                dcn, source, target, al_switches, engine=engine
-            )
-        full_path.extend(segment[1:])
-    return full_path
+    if al_switches is None:
+        return _join_segments(waypoints, lambda a, b: simple_path(dcn, a, b))
+    return _join_segments(
+        waypoints, lambda a, b: shortest_path_in_al(dcn, a, b, al_switches)
+    )
 
 
 def k_shortest_paths(
@@ -220,8 +128,6 @@ def k_shortest_paths(
     target: str,
     k: int = 3,
     al_switches: Iterable[str] | None = None,
-    *,
-    engine: str | None = None,
 ) -> list[list[str]]:
     """Up to ``k`` shortest simple paths, optionally AL-restricted.
 
@@ -231,8 +137,7 @@ def k_shortest_paths(
     Raises:
         RoutingError: when an endpoint is unknown, an OPS endpoint lies
             outside ``al_switches`` (same error as
-            :func:`shortest_path_in_al` — it used to surface as a
-            misleading "unknown endpoint"), or no path exists at all.
+            :func:`shortest_path_in_al`), or no path exists at all.
     """
     if k <= 0:
         raise RoutingError(f"k must be positive, got {k}")
@@ -241,24 +146,26 @@ def k_shortest_paths(
         _check_al_endpoints(dcn, source, target, allowed_ops)
     elif not dcn.has_node(source) or not dcn.has_node(target):
         raise RoutingError(f"unknown endpoint in ({source}, {target})")
-    if _resolve_engine(dcn, engine) == "csr":
-        try:
-            return engine_for(dcn).k_shortest(source, target, k, allowed_ops)
-        except PathEngineNoPath:
-            raise RoutingError(f"no path from {source} to {target}") from None
-    if allowed_ops is not None:
-        graph = _al_subgraph(dcn, allowed_ops)
-    else:
-        graph = dcn.graph
-    paths: list[list[str]] = []
     try:
-        for path in nx.shortest_simple_paths(graph, source, target):
-            paths.append(list(path))
-            if len(paths) >= k:
-                break
-    except nx.NetworkXNoPath:
+        return engine_for(dcn).k_shortest(source, target, k, allowed_ops)
+    except PathEngineNoPath:
         raise RoutingError(f"no path from {source} to {target}") from None
-    return paths
+
+
+def _check_fanout_endpoints(
+    dcn: DataCenterNetwork,
+    source: str,
+    targets: Sequence[str],
+    allowed_ops: frozenset | None,
+) -> None:
+    """Endpoint validation for :func:`routes_from` (one check per target)."""
+    if not targets and not dcn.has_node(source):
+        raise RoutingError(f"unknown endpoint in ({source}, {source})")
+    for node in targets:
+        if allowed_ops is not None:
+            _check_al_endpoints(dcn, source, node, allowed_ops)
+        elif not dcn.has_node(source) or not dcn.has_node(node):
+            raise RoutingError(f"unknown endpoint in ({source}, {node})")
 
 
 def routes_from(
@@ -266,8 +173,6 @@ def routes_from(
     source: str,
     targets: Iterable[str],
     al_switches: Iterable[str] | None = None,
-    *,
-    engine: str | None = None,
 ) -> dict[str, list[str]]:
     """Batched fan-out: shortest paths from one source to many targets.
 
@@ -279,8 +184,7 @@ def routes_from(
 
     Note: level-order BFS may tie-break differently than the pairwise
     bidirectional search, so a batched path can legitimately differ
-    from :func:`simple_path` on equal-length alternatives.  Both
-    engines produce identical batched results.
+    from :func:`simple_path` on equal-length alternatives.
 
     Raises:
         RoutingError: for unknown endpoints, or (with ``al_switches``)
@@ -288,25 +192,21 @@ def routes_from(
     """
     allowed_ops = frozenset(al_switches) if al_switches is not None else None
     target_list = list(targets)
+    _check_fanout_endpoints(dcn, source, target_list, allowed_ops)
     if not target_list:
-        if not dcn.has_node(source):
-            raise RoutingError(f"unknown endpoint in ({source}, {source})")
         return {}
-    for node in target_list:
-        if allowed_ops is not None:
-            _check_al_endpoints(dcn, source, node, allowed_ops)
-        elif not dcn.has_node(source) or not dcn.has_node(node):
-            raise RoutingError(f"unknown endpoint in ({source}, {node})")
-    if _resolve_engine(dcn, engine) == "csr":
-        return engine_for(dcn).routes_from(source, target_list, allowed_ops)
-    if allowed_ops is not None:
-        graph = _al_subgraph(dcn, allowed_ops)
-    else:
-        graph = dcn.graph
-    tree = nx.single_source_shortest_path(graph, source)
-    return {
-        node: list(tree[node]) for node in target_list if node in tree
-    }
+    return engine_for(dcn).routes_from(source, target_list, allowed_ops)
+
+
+def _check_surviving_endpoints(
+    dcn: DataCenterNetwork, source: str, target: str, failed: frozenset
+) -> None:
+    """Endpoint validation for :func:`shortest_surviving_path`."""
+    if not dcn.has_node(source) or not dcn.has_node(target):
+        raise RoutingError(f"unknown endpoint in ({source}, {target})")
+    if source in failed or target in failed:
+        down = source if source in failed else target
+        raise RoutingError(f"endpoint failed: {down}")
 
 
 def shortest_surviving_path(
@@ -315,16 +215,13 @@ def shortest_surviving_path(
     target: str,
     failed_nodes: Iterable[str] = (),
     cut_links: Iterable[Iterable[str]] = (),
-    *,
-    engine: str | None = None,
 ) -> list[str]:
     """Shortest path avoiding failed nodes and cut links.
 
     The post-fault rerouting primitive: what remains of the fabric
     after a chaos schedule's casualties still has to carry the flow.
-    Under the ``networkx`` engine this is a ``restricted_view``; under
-    CSR it is a byte-mask minus the failure set plus a cut-edge check —
-    no view construction.
+    The CSR engine answers it with a byte-mask minus the failure set
+    plus a cut-edge check — no view construction.
 
     Raises:
         RoutingError: unknown endpoints, an endpoint in
@@ -332,26 +229,10 @@ def shortest_surviving_path(
     """
     failed = frozenset(failed_nodes)
     cuts = frozenset(frozenset(link) for link in cut_links)
-    if not dcn.has_node(source) or not dcn.has_node(target):
-        raise RoutingError(f"unknown endpoint in ({source}, {target})")
-    if source in failed or target in failed:
-        down = source if source in failed else target
-        raise RoutingError(f"endpoint failed: {down}")
-    if _resolve_engine(dcn, engine) == "csr":
-        try:
-            return engine_for(dcn).route_avoiding(source, target, failed, cuts)
-        except PathEngineNoPath:
-            raise RoutingError(
-                f"no surviving path from {source} to {target}"
-            ) from None
-    view = nx.restricted_view(
-        dcn.graph,
-        tuple(failed),
-        tuple(tuple(sorted(link)) for link in cuts),
-    )
+    _check_surviving_endpoints(dcn, source, target, failed)
     try:
-        return nx.shortest_path(view, source, target)
-    except nx.NetworkXNoPath:
+        return engine_for(dcn).route_avoiding(source, target, failed, cuts)
+    except PathEngineNoPath:
         raise RoutingError(
             f"no surviving path from {source} to {target}"
         ) from None
@@ -460,7 +341,6 @@ def least_loaded_path(
     *,
     k: int = 3,
     al_switches: Iterable[str] | None = None,
-    engine: str | None = None,
 ) -> list[str]:
     """Among the k shortest paths, the one with the lightest bottleneck.
 
@@ -472,14 +352,13 @@ def least_loaded_path(
             missing links count as load 0.
         k: candidate pool size.
         al_switches: restrict optical hops to these switches.
-        engine: routing engine selector (see module docstring).
 
     Returns:
         The candidate minimizing (max link load, total link load, hops);
         with no load anywhere this degenerates to the shortest path.
     """
     candidates = k_shortest_paths(
-        dcn, source, target, k=k, al_switches=al_switches, engine=engine
+        dcn, source, target, k=k, al_switches=al_switches
     )
     return list(pick_least_loaded(RouteCandidates(candidates), link_load))
 

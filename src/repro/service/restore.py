@@ -45,13 +45,19 @@ RETIRED_ENGINE_VALUES = {
     "admission": {"per_event": "auto"},
 }
 
+#: Selectors removed from ``EngineConfig`` outright (the cover kernel and
+#: the routing engine).  Every value they took was bit-identical on
+#: outputs, so dropping them from an old genesis changes no state.
+RETIRED_ENGINE_KEYS = ("cover_kernel", "routing")
+
 
 def fold_retired_engines(engines: dict) -> dict:
     """An ``EngineConfig`` mapping with retired selector values folded
-    to the ones that replaced them."""
+    to the ones that replaced them and retired selectors dropped."""
     return {
         key: RETIRED_ENGINE_VALUES.get(key, {}).get(value, value)
         for key, value in engines.items()
+        if key not in RETIRED_ENGINE_KEYS
     }
 
 

@@ -159,7 +159,7 @@ def state_view(stack) -> dict:
 
     # Note: no path-engine/route-cache cursors here — those are lazy
     # read-path caches a restored stack rebuilds on demand, and their
-    # values differ by EngineConfig, never by control-plane state.
+    # values follow the query history, never control-plane state.
     counters = {
         "chain_serial": stack._chain_serial,
         "topology_generation": fabric.topology_generation,
@@ -179,16 +179,21 @@ def state_view(stack) -> dict:
         #   provisions) — replay re-runs only the *committed* commands,
         #   one by one, so how requests arrived or failed is not state;
         # * read-path performance tallies (route cache, path engine,
-        #   simulators, sweeps) — dry runs and queries mutate nothing.
+        #   simulators and their admission planner, sweeps) — dry runs
+        #   and queries mutate nothing, and replay runs no simulator;
+        # * the fault injector's scheduling counter — replay re-applies
+        #   the journaled fault handling, never the schedule.
         _excluded_prefixes = (
             "alvc_journal_", "alvc_snapshot_", "alvc_restore_",
             "alvc_frontend_", "alvc_service_", "alvc_route_cache_",
-            "alvc_path_engine_", "alvc_sim_", "alvc_sweep_",
+            "alvc_path_engine_", "alvc_sim_", "alvc_admission_",
+            "alvc_sweep_",
         )
         _excluded = (
             "alvc_provision_batches_total",
             "alvc_chains_provision_failures_total",
             "alvc_cover_infeasible_total",
+            "alvc_faults_injected_total",
         )
         for name, family in telemetry.registry.snapshot().items():
             if name.startswith(_excluded_prefixes) or name in _excluded:

@@ -41,11 +41,7 @@ import numpy as np
 
 from repro.exceptions import RoutingError
 from repro.observability.runtime import current_telemetry
-from repro.sdn.routing import (
-    RouteCandidates,
-    k_shortest_paths,
-    routes_from,
-)
+from repro.sdn.routing import routes_from
 from repro.sim.fairshare import LinkId, links_on_path
 
 __all__ = [
@@ -62,12 +58,7 @@ NO_PLAN_ROUTE = object()
 
 
 def resolve_tree_path(
-    dcn,
-    source: str,
-    destination: str,
-    al: Iterable[str] | None,
-    *,
-    engine: str | None = None,
+    dcn, source: str, destination: str, al: Iterable[str] | None
 ) -> list[str]:
     """Tree-canonical shortest path — the simulator's route primitive.
 
@@ -80,7 +71,7 @@ def resolve_tree_path(
         RoutingError: when the endpoints are unknown, an endpoint
             violates the AL, or no connecting path exists.
     """
-    resolved = routes_from(dcn, source, [destination], al, engine=engine)
+    resolved = routes_from(dcn, source, [destination], al)
     path = resolved.get(destination)
     if path is None:
         if al is not None:
@@ -138,23 +129,14 @@ class AdmissionPlan:
 
     __slots__ = (
         "_dcn",
-        "_engine",
         "_link_index",
         "_routes",
         "_pairs_counter",
         "_invalidated_counter",
     )
 
-    def __init__(
-        self,
-        dcn,
-        link_index: dict,
-        *,
-        engine: str | None = None,
-        telemetry=None,
-    ) -> None:
+    def __init__(self, dcn, link_index: dict, *, telemetry=None) -> None:
         self._dcn = dcn
-        self._engine = engine
         #: LinkId -> engine array position (the fair-share engine's).
         self._link_index = link_index
         self._routes: dict[tuple, object] = {}
@@ -197,14 +179,10 @@ class AdmissionPlan:
         if not targets:
             return
         if al is None:
-            resolved = routes_from(
-                self._dcn, source, targets, None, engine=self._engine
-            )
+            resolved = routes_from(self._dcn, source, targets, None)
         else:
             try:
-                resolved = routes_from(
-                    self._dcn, source, targets, al, engine=self._engine
-                )
+                resolved = routes_from(self._dcn, source, targets, al)
             except RoutingError:
                 # An endpoint violates the layer: the group fan-out
                 # aborts wholesale, but per-arrival routing retries each
@@ -213,10 +191,7 @@ class AdmissionPlan:
                 resolved = {}
                 for dst in targets:
                     try:
-                        single = routes_from(
-                            self._dcn, source, [dst], al,
-                            engine=self._engine,
-                        )
+                        single = routes_from(self._dcn, source, [dst], al)
                     except RoutingError:
                         continue
                     if dst in single:
@@ -232,9 +207,7 @@ class AdmissionPlan:
                 continue
             self._routes[(source, dst, al)] = self._intern(path)
         if flat_retry:
-            fallback = routes_from(
-                self._dcn, source, flat_retry, None, engine=self._engine
-            )
+            fallback = routes_from(self._dcn, source, flat_retry, None)
             for dst in flat_retry:
                 path = fallback.get(dst)
                 self._routes[(source, dst, al)] = (
@@ -294,21 +267,14 @@ class AdmissionPlan:
 
 
 def plan_admission(
-    dcn,
-    pairs: Iterable[tuple],
-    link_index: dict,
-    *,
-    engine: str | None = None,
-    telemetry=None,
+    dcn, pairs: Iterable[tuple], link_index: dict, *, telemetry=None
 ) -> AdmissionPlan:
     """Bulk-resolve unique ``(src, dst, al)`` pairs into a plan.
 
     Groups ``pairs`` by ``(source, al)`` so each group costs one
     single-BFS fan-out (two for AL groups with flat fallbacks).
     """
-    plan = AdmissionPlan(
-        dcn, link_index, engine=engine, telemetry=telemetry
-    )
+    plan = AdmissionPlan(dcn, link_index, telemetry=telemetry)
     grouped: dict[tuple, list] = {}
     for source, destination, al in pairs:
         grouped.setdefault((source, al), []).append(destination)

@@ -66,7 +66,6 @@ from repro.sdn.route_cache import (
 )
 from repro.sdn.path_engine import engine_for
 from repro.sdn.routing import (
-    ROUTING_ENGINES,
     RouteCandidates,
     k_shortest_paths,
     least_loaded_path,
@@ -226,7 +225,6 @@ class EventDrivenFlowSimulator:
         k_paths: int = 3,
         telemetry: Telemetry | None = None,
         engines: "EngineConfig | dict | None" = None,
-        routing_engine: str | None = None,
         route_cache_size: int = DEFAULT_ROUTE_CACHE_SIZE,
     ) -> None:
         """Create a simulator over a populated inventory.
@@ -249,14 +247,7 @@ class EventDrivenFlowSimulator:
             engines: typed :class:`~repro.config.EngineConfig` (or an
                 equivalent dict / ``None``); ``sim_engine`` selects
                 ``"vector"`` (the production data plane, default) or
-                ``"legacy"`` (the frozen pre-optimization loop), and
-                ``routing`` the path backend unless ``routing_engine``
-                overrides it.
-            routing_engine: path-computation backend —
-                ``"auto"``/``"csr"``/``"nx"``, see
-                :mod:`repro.sdn.routing` (both produce bit-identical
-                paths; this knob exists for parity tests and
-                benchmarks).  Defaults to ``engines.routing``.
+                ``"legacy"`` (the frozen pre-optimization loop).
             route_cache_size: LRU entries for load-aware candidate
                 caching; ``0`` disables the cache entirely.
 
@@ -265,13 +256,6 @@ class EventDrivenFlowSimulator:
                 size, or a non-positive bandwidth override.
         """
         engine_config = EngineConfig.coerce(engines)
-        if routing_engine is None:
-            routing_engine = engine_config.routing
-        if routing_engine not in ROUTING_ENGINES:
-            raise ValidationError(
-                f"unknown routing engine {routing_engine!r} "
-                f"(expected one of {', '.join(ROUTING_ENGINES)})"
-            )
         if route_cache_size < 0:
             raise ValidationError(
                 f"route_cache_size must be >= 0, got {route_cache_size}"
@@ -289,7 +273,6 @@ class EventDrivenFlowSimulator:
         self._load_aware = load_aware
         self._k_paths = k_paths
         self._engine_mode = engine_config.sim_engine
-        self._routing_engine = routing_engine
         self._capacities: dict[LinkId, float] = {}
         for a, b, link, parallel in inventory.network.trunks():
             if default_bandwidth_gbps is not None:
@@ -423,7 +406,6 @@ class EventDrivenFlowSimulator:
                         destination,
                         k=self._k_paths,
                         al_switches=al,
-                        engine=self._routing_engine,
                     )
                 )
                 cache.put(key, candidates)
@@ -450,14 +432,9 @@ class EventDrivenFlowSimulator:
                 link_flows,
                 k=self._k_paths,
                 al_switches=al,
-                engine=self._routing_engine,
             )
         return resolve_tree_path(
-            self._inventory.network,
-            source,
-            destination,
-            al,
-            engine=self._routing_engine,
+            self._inventory.network, source, destination, al
         )
 
     def _route_avoiding(
@@ -491,7 +468,6 @@ class EventDrivenFlowSimulator:
                     destination,
                     failed_nodes,
                     cut_links,
-                    engine=self._routing_engine,
                 )
             )
         except RoutingError:
@@ -694,7 +670,6 @@ class EventDrivenFlowSimulator:
                 self._inventory.network,
                 (key for key in plan_keys if key is not None),
                 engine.link_index,
-                engine=self._routing_engine,
                 telemetry=self._telemetry,
             )
         elif self._route_cache is not None:

@@ -828,6 +828,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         "_t_bounds",
         "_t_stale",
         "_kernel",
+        "_fallback_counter",
     )
 
     def __init__(
@@ -838,6 +839,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         telemetry=None,
     ) -> None:
         super().__init__(capacities, table=table, telemetry=telemetry)
+        from repro.observability.runtime import current_telemetry
         from repro.sim.ckernel import waterfill_kernel
 
         #: pool bytes -> class id (the interning table).
@@ -859,6 +861,17 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         self._t_bounds: np.ndarray | None = None
         self._t_stale = True
         self._kernel = waterfill_kernel()
+        # A failed compile is cached for the life of the process, so
+        # say so where the run's telemetry can see it.
+        sink = telemetry if telemetry is not None else current_telemetry()
+        sink.gauge(
+            "alvc_sim_ckernel_available",
+            "1 when the compiled water-filling kernel is in use, else 0",
+        ).set(0.0 if self._kernel is None else 1.0)
+        self._fallback_counter = sink.counter(
+            "alvc_sim_ckernel_fallback_total",
+            "batched recomputes run on the numpy round loop",
+        )
         self._table.on_compact = self._renumber_classes
 
     # ------------------------------------------------------------------
@@ -1024,6 +1037,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
                     "without unfrozen members"
                 )
         else:
+            self._fallback_counter.inc()
             rounds = self._waterfill_numpy(
                 n_loaded,
                 remaining,

@@ -146,9 +146,9 @@ class AlvcStack:
                 :mod:`repro.sim.admission`); shorthand for
                 ``engines=EngineConfig(admission=...)``.
             engines: typed :class:`~repro.config.EngineConfig` (or a
-                mapping coercible to one) selecting the cover kernel,
-                routing engine, solver, simulation engine and default
-                sweep worker count in one place.
+                mapping coercible to one) selecting the solver,
+                simulation engine, admission pipeline and default sweep
+                worker count in one place.
             journal: a :class:`~repro.service.Journal` (or a path to
                 one) that records every state-mutating call on this
                 stack; the journal receives a ``genesis`` record of
@@ -723,9 +723,9 @@ class AlvcStack:
 
         A facade veneer over :class:`repro.parallel.SweepRunner`, wired
         to this stack's telemetry: per-worker metrics roll up into
-        :attr:`telemetry`.  Worker count and cover kernel come from this
-        stack's :attr:`engines` (``workers``/``cover_kernel``); one
-        worker runs trials inline with no multiprocessing machinery.
+        :attr:`telemetry`.  The worker count comes from this stack's
+        :attr:`engines` (``workers``); one worker runs trials inline
+        with no multiprocessing machinery.
 
         ``trial`` must be a **top-level picklable callable** over
         picklable parameters — the ``_fig4_cell``-style trial functions
@@ -748,7 +748,6 @@ class AlvcStack:
             workers=self._engines.workers,
             chunk_size=chunk_size,
             telemetry=self.telemetry,
-            kernel=self._engines.cover_kernel,
         )
         return runner.map(trial, params)
 

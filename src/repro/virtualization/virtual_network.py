@@ -81,12 +81,7 @@ class VirtualNetwork:
     # ------------------------------------------------------------------
     # Embedding
     # ------------------------------------------------------------------
-    def embed(
-        self,
-        inventory: MachineInventory,
-        *,
-        engine: str | None = None,
-    ) -> dict[frozenset, list[str]]:
+    def embed(self, inventory: MachineInventory) -> dict[frozenset, list[str]]:
         """Embed every virtual link onto a shortest physical path.
 
         Every VM must already be placed on a server.  Returns and caches
@@ -96,16 +91,13 @@ class VirtualNetwork:
 
         Links sharing a source host are routed through one batched
         :func:`repro.sdn.routing.routes_from` fan-out per host (a VM
-        with several neighbors costs one BFS, not one per link), via
-        the selected routing engine instead of a raw ``networkx`` call
-        — so unknown hosts and disconnected fabrics surface as
-        :class:`~repro.exceptions.RoutingError`, never as leaked
-        ``networkx`` exceptions.
+        with several neighbors costs one BFS, not one per link), instead
+        of a raw ``networkx`` call — so unknown hosts and disconnected
+        fabrics surface as :class:`~repro.exceptions.RoutingError`,
+        never as leaked ``networkx`` exceptions.
 
         Args:
             inventory: VM placement and the physical fabric.
-            engine: routing engine selector (see
-                :mod:`repro.sdn.routing`).
 
         Raises:
             RoutingError: if the hosts of some link are disconnected
@@ -130,9 +122,7 @@ class VirtualNetwork:
         routed: dict[str, dict[str, list[str]]] = {}
         for host_a, targets in by_source.items():
             try:
-                routed[host_a] = routes_from(
-                    network, host_a, targets, engine=engine
-                )
+                routed[host_a] = routes_from(network, host_a, targets)
             except RoutingError as exc:
                 raise RoutingError(
                     f"virtual network {self.name!r} cannot embed from "

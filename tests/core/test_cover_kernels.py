@@ -1,12 +1,15 @@
-"""Bitset-vs-set cover kernel parity and kernel-selection controls.
+"""Set-vs-bitset marginal-cover kernel parity and the kernel switch.
 
-The bitset kernels must be an *implementation detail*: every public
-cover function returns a bit-for-bit identical :class:`CoverResult`
-(selection, full decision trace, universe) whichever kernel runs, and
-infeasible instances raise the same :class:`CoverInfeasibleError` with
-the same ``uncovered`` set.  The parity suite below generates several
-hundred randomized instances across universe sizes straddling
-:data:`~repro.core.algorithms.BITSET_KERNEL_THRESHOLD`.
+The bitset kernel behind :func:`greedy_marginal_cover` must be an
+*implementation detail*: it returns a bit-for-bit identical
+:class:`CoverResult` (selection, full decision trace, universe) to the
+eager set kernel, and infeasible instances raise the same
+:class:`CoverInfeasibleError` with the same ``uncovered`` set.  The
+parity suite below forces each kernel with the process-scoped
+:func:`use_kernel` switch over several hundred randomized instances
+across universe sizes straddling
+:data:`~repro.core.algorithms.BITSET_KERNEL_THRESHOLD`.  The
+single-pass covers have one kernel; the switch must leave them alone.
 """
 
 import random
@@ -24,6 +27,27 @@ from repro.core.algorithms import (
     use_kernel,
 )
 from repro.exceptions import CoverInfeasibleError, ValidationError
+
+KERNELS = ("set", "bitset")
+
+
+def _per_kernel(run):
+    """``run()``'s result under each forced kernel, keyed by kernel."""
+    results = {}
+    for kernel in KERNELS:
+        with use_kernel(kernel):
+            results[kernel] = run()
+    return results
+
+
+def _raised_per_kernel(run, error):
+    """The exception ``run()`` raises under each forced kernel."""
+    raised = {}
+    for kernel in KERNELS:
+        with use_kernel(kernel), pytest.raises(error) as info:
+            run()
+        raised[kernel] = info.value
+    return raised
 
 
 def _random_instance(rng: random.Random, universe_size: int):
@@ -51,7 +75,7 @@ _GRID = ((6, 30), (20, 30), (63, 10), (64, 10), (96, 20), (160, 10))
 
 
 class TestKernelParity:
-    """~330 generated instances x 3 algorithms, set vs bitset."""
+    """~330 generated instances x 3 algorithms, set vs bitset forced."""
 
     @pytest.mark.parametrize("universe_size,count", _GRID)
     def test_greedy_max_weight_parity(self, universe_size, count):
@@ -60,54 +84,44 @@ class TestKernelParity:
             universe, candidates, weights = _random_instance(
                 rng, universe_size
             )
-            reference = greedy_max_weight_cover(
-                universe, candidates, weights, kernel="set"
+            results = _per_kernel(
+                lambda: greedy_max_weight_cover(universe, candidates, weights)
             )
-            bitset = greedy_max_weight_cover(
-                universe, candidates, weights, kernel="bitset"
-            )
-            assert bitset == reference
+            assert results["set"] == results["bitset"]
 
     @pytest.mark.parametrize("universe_size,count", _GRID)
     def test_greedy_marginal_parity(self, universe_size, count):
         rng = random.Random(1000 + universe_size)
         for _ in range(count):
             universe, candidates, _ = _random_instance(rng, universe_size)
-            reference = greedy_marginal_cover(
-                universe, candidates, kernel="set"
+            results = _per_kernel(
+                lambda: greedy_marginal_cover(universe, candidates)
             )
-            bitset = greedy_marginal_cover(
-                universe, candidates, kernel="bitset"
-            )
-            assert bitset == reference
+            assert results["set"] == results["bitset"]
 
     @pytest.mark.parametrize("universe_size,count", _GRID)
     def test_random_cover_parity(self, universe_size, count):
         rng = random.Random(2000 + universe_size)
         for trial in range(count):
             universe, candidates, _ = _random_instance(rng, universe_size)
-            reference = random_cover(
-                universe, candidates, random.Random(trial), kernel="set"
+            results = _per_kernel(
+                lambda: random_cover(
+                    universe, candidates, random.Random(trial)
+                )
             )
-            bitset = random_cover(
-                universe, candidates, random.Random(trial), kernel="bitset"
-            )
-            assert bitset == reference
+            assert results["set"] == results["bitset"]
 
     def test_infeasible_parity(self):
         rng = random.Random(7)
         for _ in range(30):
-            universe, candidates, weights = _random_instance(rng, 24)
+            universe, candidates, _ = _random_instance(rng, 24)
             universe = universe | frozenset({"ghost-1", "ghost-2"})
-            errors = {}
-            for kernel in ("set", "bitset"):
-                with pytest.raises(CoverInfeasibleError) as info:
-                    greedy_max_weight_cover(
-                        universe, candidates, weights, kernel=kernel
-                    )
-                errors[kernel] = info.value.uncovered
-            assert errors["set"] == errors["bitset"]
-            assert {"ghost-1", "ghost-2"} <= errors["bitset"]
+            errors = _raised_per_kernel(
+                lambda: greedy_marginal_cover(universe, candidates),
+                CoverInfeasibleError,
+            )
+            assert errors["set"].uncovered == errors["bitset"].uncovered
+            assert {"ghost-1", "ghost-2"} <= errors["bitset"].uncovered
 
     def test_marginal_exhaustion_parity(self):
         # Feasibility can also fail mid-run semantics-wise: candidates
@@ -118,24 +132,21 @@ class TestKernelParity:
             "tor-0": frozenset({"m-0", "m-1"}),
             "tor-1": frozenset({"m-1", "m-2"}),
         }
-        uncovered = {}
-        for kernel in ("set", "bitset"):
-            with pytest.raises(CoverInfeasibleError) as info:
-                greedy_marginal_cover(universe, candidates, kernel=kernel)
-            uncovered[kernel] = info.value.uncovered
-        assert uncovered["set"] == uncovered["bitset"]
-        assert uncovered["set"] == universe - frozenset(
+        errors = _raised_per_kernel(
+            lambda: greedy_marginal_cover(universe, candidates),
+            CoverInfeasibleError,
+        )
+        assert errors["set"].uncovered == errors["bitset"].uncovered
+        assert errors["set"].uncovered == universe - frozenset(
             {"m-0", "m-1", "m-2"}
         )
 
     @pytest.mark.parametrize(
         "cover",
         [
-            lambda u, c, kernel: greedy_max_weight_cover(u, c, {}, kernel=kernel),
-            lambda u, c, kernel: greedy_marginal_cover(u, c, kernel=kernel),
-            lambda u, c, kernel: random_cover(
-                u, c, random.Random(0), kernel=kernel
-            ),
+            lambda u, c: greedy_max_weight_cover(u, c, {}),
+            greedy_marginal_cover,
+            lambda u, c: random_cover(u, c, random.Random(0)),
         ],
         ids=["max_weight", "marginal", "random"],
     )
@@ -144,9 +155,7 @@ class TestKernelParity:
         # kernel used to return an empty cover while the bitset kernel
         # diverged.  Both must now return the identical empty,
         # feasibility-checked result.
-        results = {
-            kernel: cover(frozenset(), {}, kernel) for kernel in ("set", "bitset")
-        }
+        results = _per_kernel(lambda: cover(frozenset(), {}))
         assert results["set"] == results["bitset"]
         assert results["set"].selected == ()
         assert results["set"].steps == ()
@@ -155,22 +164,22 @@ class TestKernelParity:
     @pytest.mark.parametrize(
         "cover",
         [
-            lambda u, c, kernel: greedy_max_weight_cover(u, c, {}, kernel=kernel),
-            lambda u, c, kernel: greedy_marginal_cover(u, c, kernel=kernel),
-            lambda u, c, kernel: random_cover(
-                u, c, random.Random(0), kernel=kernel
-            ),
+            lambda u, c: greedy_max_weight_cover(u, c, {}),
+            greedy_marginal_cover,
+            lambda u, c: random_cover(u, c, random.Random(0)),
         ],
         ids=["max_weight", "marginal", "random"],
     )
     def test_empty_candidates_nonempty_universe_parity(self, cover):
         universe = frozenset({"m-0", "m-1"})
-        uncovered = {}
-        for kernel in ("set", "bitset"):
-            with pytest.raises(CoverInfeasibleError) as info:
-                cover(universe, {}, kernel)
-            uncovered[kernel] = info.value.uncovered
-        assert uncovered["set"] == uncovered["bitset"] == universe
+        errors = _raised_per_kernel(
+            lambda: cover(universe, {}), CoverInfeasibleError
+        )
+        assert (
+            errors["set"].uncovered
+            == errors["bitset"].uncovered
+            == universe
+        )
 
     def test_empty_candidates_rng_stream_untouched(self):
         # The degenerate guard must short-circuit *before* the random
@@ -191,28 +200,19 @@ class TestInfeasibilityReporting:
             "tor-0": frozenset({"m-0", "m-1", "m-2"}),
             "tor-1": frozenset({"m-2", "m-3"}),
         }
-        with pytest.raises(CoverInfeasibleError) as info:
-            greedy_max_weight_cover(
-                universe,
-                candidates,
-                {"tor-0": 2, "tor-1": 1},
-                kernel="bitset",
-            )
+        with use_kernel("bitset"), pytest.raises(CoverInfeasibleError) as info:
+            greedy_marginal_cover(universe, candidates)
         assert info.value.uncovered == frozenset(
             f"m-{i}" for i in range(4, 10)
         )
 
     def test_feasibility_checked_before_weights(self):
-        # Both kernels agree on error precedence: an infeasible
-        # instance raises CoverInfeasibleError even when weights are
-        # also missing.
+        # Error precedence: an infeasible instance raises
+        # CoverInfeasibleError even when weights are also missing.
         universe = frozenset({"m-0", "ghost"})
         candidates = {"tor-0": frozenset({"m-0"})}
-        for kernel in ("set", "bitset"):
-            with pytest.raises(CoverInfeasibleError):
-                greedy_max_weight_cover(
-                    universe, candidates, {}, kernel=kernel
-                )
+        with pytest.raises(CoverInfeasibleError):
+            greedy_max_weight_cover(universe, candidates, {})
 
     def test_missing_weights_parity(self):
         universe = frozenset({"m-0", "m-1"})
@@ -220,25 +220,20 @@ class TestInfeasibilityReporting:
             "tor-1": frozenset({"m-0"}),
             "tor-0": frozenset({"m-1"}),
         }
-        messages = {}
-        for kernel in ("set", "bitset"):
-            with pytest.raises(ValidationError) as info:
-                greedy_max_weight_cover(
-                    universe, candidates, {}, kernel=kernel
-                )
-            messages[kernel] = str(info.value)
-        assert messages["set"] == messages["bitset"]
-        assert messages["set"].index("tor-0") < messages["set"].index(
-            "tor-1"
+        errors = _raised_per_kernel(
+            lambda: greedy_max_weight_cover(universe, candidates, {}),
+            ValidationError,
         )
+        message = str(errors["set"])
+        assert message == str(errors["bitset"])
+        assert message.index("tor-0") < message.index("tor-1")
 
 
 class TestKernelSelection:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValidationError):
-            greedy_marginal_cover(
-                {"a"}, {"s": frozenset({"a"})}, kernel="simd"
-            )
+            with use_kernel("simd"):
+                pass
 
     def test_set_default_kernel_validates(self):
         with pytest.raises(ValidationError):
@@ -258,38 +253,56 @@ class TestKernelSelection:
             assert algorithms._default_kernel == "bitset"
         assert algorithms._default_kernel == "auto"
 
-    def test_auto_keeps_single_pass_covers_on_set(self):
-        big = frozenset(range(BITSET_KERNEL_THRESHOLD * 2))
-        assert algorithms._resolve_kernel("auto", big) == "set"
+    def test_auto_keeps_single_pass_covers_on_set(self, monkeypatch):
+        # The single-pass covers have no bitset kernel: even a forced
+        # switch on a large universe never interns a bit universe.
+        def no_interning(*_args):
+            raise AssertionError("single-pass cover interned a bitset")
+
+        monkeypatch.setattr(algorithms, "_BitUniverse", no_interning)
+        universe = frozenset(range(BITSET_KERNEL_THRESHOLD * 2))
+        candidates = {"tor-0": universe}
+        for kernel in ("auto", "bitset"):
+            with use_kernel(kernel):
+                greedy_max_weight_cover(universe, candidates, {"tor-0": 1})
+                random_cover(universe, candidates, random.Random(0))
 
     def test_auto_promotes_amortized_covers_above_threshold(self):
         big = frozenset(range(BITSET_KERNEL_THRESHOLD))
         small = frozenset(range(BITSET_KERNEL_THRESHOLD - 1))
-        assert (
-            algorithms._resolve_kernel("auto", big, amortized=True)
-            == "bitset"
-        )
-        assert (
-            algorithms._resolve_kernel("auto", small, amortized=True)
-            == "set"
-        )
+        assert algorithms._marginal_kernel(big) == "bitset"
+        assert algorithms._marginal_kernel(small) == "set"
 
     def test_explicit_kernel_wins_over_default(self):
+        # A forced kernel overrides the size-chosen default both ways.
+        big = frozenset(range(BITSET_KERNEL_THRESHOLD))
+        small = frozenset(range(BITSET_KERNEL_THRESHOLD - 1))
         with use_kernel("set"):
-            assert (
-                algorithms._resolve_kernel("bitset", frozenset({"a"}))
-                == "bitset"
-            )
+            assert algorithms._marginal_kernel(big) == "set"
+        with use_kernel("bitset"):
+            assert algorithms._marginal_kernel(small) == "bitset"
 
-    def test_default_kernel_applies_to_auto_call_sites(self):
+    def test_default_kernel_applies_to_auto_call_sites(self, monkeypatch):
+        # Below the threshold "auto" runs the set kernel; the forced
+        # switch must route the call to the bitset kernel instead.
         universe = frozenset(f"m-{i}" for i in range(8))
         candidates = {
             "tor-0": frozenset(f"m-{i}" for i in range(5)),
             "tor-1": frozenset(f"m-{i}" for i in range(3, 8)),
         }
+        ran = []
+        bitset = algorithms._greedy_marginal_bitset
+
+        def spy(*args):
+            ran.append("bitset")
+            return bitset(*args)
+
+        monkeypatch.setattr(algorithms, "_greedy_marginal_bitset", spy)
+        reference = greedy_marginal_cover(universe, candidates)
+        assert ran == []
         with use_kernel("bitset"):
             forced = greedy_marginal_cover(universe, candidates)
-        reference = greedy_marginal_cover(universe, candidates, kernel="set")
+        assert ran == ["bitset"]
         assert forced == reference
 
 

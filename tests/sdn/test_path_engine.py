@@ -4,29 +4,36 @@ The bit-parity of the kernels against ``networkx`` is exercised at
 scale in ``tests/sdn/test_routing_parity.py``; this module covers the
 engine's *machinery* — snapshot (re)builds keyed to
 ``topology_generation``, AL bitmask caching, fault-driven mask
-invalidation, telemetry counters and the engine selector plumbing.
+invalidation and telemetry counters.  The ``[csr]``/``[nx]`` cases
+hold the production router and the frozen networkx reference to the
+same validation and no-path behaviour.
 """
 
 import pytest
 
-from repro.exceptions import RoutingError, ValidationError
+from repro.exceptions import RoutingError
 from repro.observability.runtime import Telemetry
+from repro.sdn import nx_reference, routing
 from repro.sdn.path_engine import PathEngine, PathEngineNoPath, engine_for
 from repro.sdn.routing import (
-    ROUTING_ENGINES,
     RouteCandidates,
-    get_default_engine,
     k_shortest_paths,
     least_loaded_path,
     pick_least_loaded,
-    routes_from,
-    set_default_engine,
     shortest_path_in_al,
     shortest_surviving_path,
     simple_path,
-    use_engine,
 )
 from repro.topology.elements import ServerSpec, TorSpec
+
+#: Router modules by parametrize id.
+ROUTERS = {"csr": routing, "nx": nx_reference}
+
+
+@pytest.fixture
+def router(request):
+    """The router module named by an indirect ``[csr]``/``[nx]`` param."""
+    return ROUTERS[request.param]
 
 
 class TestCsrSnapshot:
@@ -41,8 +48,8 @@ class TestCsrSnapshot:
 
     def test_route_matches_networkx(self, paper_dcn):
         engine = engine_for(paper_dcn)
-        assert engine.route("server-0", "server-5") == simple_path(
-            paper_dcn, "server-0", "server-5", engine="nx"
+        assert engine.route("server-0", "server-5") == (
+            nx_reference.simple_path(paper_dcn, "server-0", "server-5")
         )
 
     def test_route_same_node_is_trivial(self, paper_dcn):
@@ -101,13 +108,13 @@ class TestGenerationInvalidation:
         baseline = simple_path(paper_dcn, "server-0", "server-4")
         cut = (baseline[1], baseline[2])  # first ToR -> OPS hop
         detour = shortest_surviving_path(
-            paper_dcn, "server-0", "server-4", cut_links=[cut], engine="csr"
+            paper_dcn, "server-0", "server-4", cut_links=[cut]
         )
         hops = set(zip(detour, detour[1:]))
         assert cut not in hops and tuple(reversed(cut)) not in hops
         engine_for(paper_dcn).note_fault()
         again = shortest_surviving_path(
-            paper_dcn, "server-0", "server-4", cut_links=[cut], engine="csr"
+            paper_dcn, "server-0", "server-4", cut_links=[cut]
         )
         assert again == detour
 
@@ -138,152 +145,107 @@ class TestTelemetryCounters:
         assert metrics.value_of("alvc_path_engine_rebuilds_total") == 2.0
 
 
-class TestEngineSelection:
-    def test_registry(self):
-        assert ROUTING_ENGINES == ("auto", "csr", "nx")
-
-    def test_set_default_engine_round_trip(self):
-        previous = set_default_engine("nx")
-        try:
-            assert get_default_engine() == "nx"
-        finally:
-            set_default_engine(previous)
-        assert get_default_engine() == previous
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValidationError):
-            set_default_engine("quantum")
-
-    def test_unknown_engine_rejected_per_call(self, paper_dcn):
-        with pytest.raises(ValidationError):
-            simple_path(paper_dcn, "server-0", "server-1", engine="quantum")
-
-    def test_use_engine_restores_on_exit(self):
-        before = get_default_engine()
-        with use_engine("nx"):
-            assert get_default_engine() == "nx"
-        assert get_default_engine() == before
-
-    def test_auto_follows_fabric_caching(self, paper_dcn):
-        from repro.sdn.routing import _resolve_engine
-
-        paper_dcn.set_caching(True)
-        assert _resolve_engine(paper_dcn, "auto") == "csr"
-        paper_dcn.set_caching(False)
-        assert _resolve_engine(paper_dcn, "auto") == "nx"
-        paper_dcn.set_caching(True)
-        assert _resolve_engine(paper_dcn, "csr") == "csr"
-        assert _resolve_engine(paper_dcn, "nx") == "nx"
-
-
 class TestKShortestValidation:
     """Satellite: AL violations must not masquerade as unknown endpoints."""
 
-    @pytest.mark.parametrize("engine", ["csr", "nx"])
-    def test_ops_outside_al_is_an_al_error(self, paper_dcn, engine):
+    @pytest.mark.parametrize("router", ["csr", "nx"], indirect=True)
+    def test_ops_outside_al_is_an_al_error(self, paper_dcn, router):
         with pytest.raises(RoutingError, match="outside the abstraction"):
-            k_shortest_paths(
+            router.k_shortest_paths(
                 paper_dcn,
                 "ops-1",
                 "server-0",
                 k=2,
                 al_switches={"ops-0"},
-                engine=engine,
             )
 
-    @pytest.mark.parametrize("engine", ["csr", "nx"])
-    def test_unknown_endpoint_still_unknown(self, paper_dcn, engine):
+    @pytest.mark.parametrize("router", ["csr", "nx"], indirect=True)
+    def test_unknown_endpoint_still_unknown(self, paper_dcn, router):
         with pytest.raises(RoutingError, match="unknown endpoint"):
-            k_shortest_paths(
+            router.k_shortest_paths(
                 paper_dcn,
                 "mars",
                 "server-0",
                 k=2,
                 al_switches={"ops-0"},
-                engine=engine,
             )
 
-    @pytest.mark.parametrize("engine", ["csr", "nx"])
-    def test_ops_inside_al_is_fine(self, paper_dcn, engine):
-        paths = k_shortest_paths(
+    @pytest.mark.parametrize("router", ["csr", "nx"], indirect=True)
+    def test_ops_inside_al_is_fine(self, paper_dcn, router):
+        paths = router.k_shortest_paths(
             paper_dcn,
             "ops-0",
             "server-0",
             k=2,
             al_switches={"ops-0"},
-            engine=engine,
         )
         assert paths and paths[0][0] == "ops-0"
 
 
 class TestRoutesFrom:
-    @pytest.mark.parametrize("engine", ["csr", "nx"])
-    def test_batched_fanout_reaches_all(self, paper_dcn, engine):
+    @pytest.mark.parametrize("router", ["csr", "nx"], indirect=True)
+    def test_batched_fanout_reaches_all(self, paper_dcn, router):
         targets = ["server-1", "server-4", "server-5"]
-        routed = routes_from(paper_dcn, "server-0", targets, engine=engine)
+        routed = router.routes_from(paper_dcn, "server-0", targets)
         assert set(routed) == set(targets)
         for target, path in routed.items():
             assert path[0] == "server-0" and path[-1] == target
 
-    @pytest.mark.parametrize("engine", ["csr", "nx"])
-    def test_unreachable_targets_omitted(self, paper_dcn, engine):
-        routed = routes_from(
+    @pytest.mark.parametrize("router", ["csr", "nx"], indirect=True)
+    def test_unreachable_targets_omitted(self, paper_dcn, router):
+        routed = router.routes_from(
             paper_dcn,
             "server-0",
             ["server-1", "server-4"],
             al_switches=set(),
-            engine=engine,
         )
         assert "server-1" in routed  # same rack, no OPS needed
         assert "server-4" not in routed  # needs the core
 
-    @pytest.mark.parametrize("engine", ["csr", "nx"])
-    def test_empty_targets(self, paper_dcn, engine):
-        assert routes_from(paper_dcn, "server-0", [], engine=engine) == {}
+    @pytest.mark.parametrize("router", ["csr", "nx"], indirect=True)
+    def test_empty_targets(self, paper_dcn, router):
+        assert router.routes_from(paper_dcn, "server-0", []) == {}
         with pytest.raises(RoutingError, match="unknown endpoint"):
-            routes_from(paper_dcn, "mars", [], engine=engine)
+            router.routes_from(paper_dcn, "mars", [])
 
-    @pytest.mark.parametrize("engine", ["csr", "nx"])
-    def test_unknown_target_raises(self, paper_dcn, engine):
+    @pytest.mark.parametrize("router", ["csr", "nx"], indirect=True)
+    def test_unknown_target_raises(self, paper_dcn, router):
         with pytest.raises(RoutingError, match="unknown endpoint"):
-            routes_from(paper_dcn, "server-0", ["mars"], engine=engine)
+            router.routes_from(paper_dcn, "server-0", ["mars"])
 
 
 class TestShortestSurvivingPath:
-    @pytest.mark.parametrize("engine", ["csr", "nx"])
-    def test_detours_around_failed_node(self, paper_dcn, engine):
+    @pytest.mark.parametrize("router", ["csr", "nx"], indirect=True)
+    def test_detours_around_failed_node(self, paper_dcn, router):
         baseline = simple_path(paper_dcn, "server-0", "server-4")
         ops_on_path = [n for n in baseline if n.startswith("ops")]
         assert ops_on_path
-        detour = shortest_surviving_path(
+        detour = router.shortest_surviving_path(
             paper_dcn,
             "server-0",
             "server-4",
             failed_nodes=[ops_on_path[0]],
-            engine=engine,
         )
         assert ops_on_path[0] not in detour
 
-    @pytest.mark.parametrize("engine", ["csr", "nx"])
-    def test_failed_endpoint_raises(self, paper_dcn, engine):
+    @pytest.mark.parametrize("router", ["csr", "nx"], indirect=True)
+    def test_failed_endpoint_raises(self, paper_dcn, router):
         with pytest.raises(RoutingError, match="endpoint failed"):
-            shortest_surviving_path(
+            router.shortest_surviving_path(
                 paper_dcn,
                 "server-0",
                 "server-4",
                 failed_nodes=["server-4"],
-                engine=engine,
             )
 
-    @pytest.mark.parametrize("engine", ["csr", "nx"])
-    def test_isolated_source_raises(self, paper_dcn, engine):
+    @pytest.mark.parametrize("router", ["csr", "nx"], indirect=True)
+    def test_isolated_source_raises(self, paper_dcn, router):
         with pytest.raises(RoutingError, match="no surviving path"):
-            shortest_surviving_path(
+            router.shortest_surviving_path(
                 paper_dcn,
                 "server-0",
                 "server-4",
                 cut_links=[("server-0", "tor-0")],
-                engine=engine,
             )
 
 

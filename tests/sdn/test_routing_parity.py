@@ -1,11 +1,12 @@
-"""Randomized engine parity: CSR vs networkx, bit for bit.
+"""Randomized router parity: CSR vs the networkx reference, bit for bit.
 
-The whole point of :class:`repro.sdn.path_engine.PathEngine` is that
-switching engines can never change an experiment's output.  This suite
+The CSR :class:`repro.sdn.path_engine.PathEngine` replaced the
+``networkx`` routing that :mod:`repro.sdn.nx_reference` keeps frozen;
+replacing it must never change an experiment's output.  This suite
 sweeps hundreds of ``(seeded fabric, AL mask)`` combinations and
-asserts the two engines return **identical paths and identical error
-messages** for every routing entry point, then replays a full chaos
-run under each engine and compares the frozen reports.
+asserts the two routers return **identical paths and identical error
+messages** for all six routing entry points, then replays a full chaos
+run on each router and compares the frozen reports.
 """
 
 from __future__ import annotations
@@ -15,16 +16,9 @@ import random
 import pytest
 
 from repro.exceptions import RoutingError
-from repro.sdn.routing import (
-    chain_path,
-    k_shortest_paths,
-    routes_from,
-    shortest_path_in_al,
-    shortest_surviving_path,
-    simple_path,
-    use_engine,
-)
+from repro.sdn import nx_reference, routing
 from repro.topology.generators import build_alvc_fabric
+from tests.sdn.reference import reference_routing
 
 #: 20 fabric seeds x 10 AL masks each = 200 compared combinations.
 FABRIC_SEEDS = range(20)
@@ -40,9 +34,9 @@ def _outcome(fn):
 
 
 def _both(fabric, fn):
-    """Run ``fn(engine)`` under both engines and assert identical results."""
-    nx_result = _outcome(lambda: fn("nx"))
-    csr_result = _outcome(lambda: fn("csr"))
+    """Run ``fn(router)`` on both routers and assert identical results."""
+    nx_result = _outcome(lambda: fn(nx_reference))
+    csr_result = _outcome(lambda: fn(routing))
     assert csr_result == nx_result
     return nx_result
 
@@ -69,41 +63,37 @@ def test_engines_agree_on_paths_and_errors(seed):
             edge = rng.choice(list(fabric.graph.edges))
             cut = [tuple(edge)]
 
-        _both(fabric, lambda e: simple_path(fabric, a, b, engine=e))
+        _both(fabric, lambda r: r.simple_path(fabric, a, b))
         _both(
             fabric,
-            lambda e: shortest_path_in_al(fabric, s, t, al, engine=e),
+            lambda r: r.shortest_path_in_al(fabric, s, t, al),
         )
         _both(
             fabric,
-            lambda e: chain_path(fabric, waypoints, al, engine=e),
+            lambda r: r.chain_path(fabric, waypoints, al),
         )
         _both(
             fabric,
-            lambda e: k_shortest_paths(
-                fabric, s, t, k=3, al_switches=al, engine=e
-            ),
+            lambda r: r.k_shortest_paths(fabric, s, t, k=3, al_switches=al),
         )
         _both(
             fabric,
-            lambda e: routes_from(
-                fabric, s, targets, al_switches=al, engine=e
-            ),
+            lambda r: r.routes_from(fabric, s, targets, al_switches=al),
         )
         _both(
             fabric,
-            lambda e: shortest_surviving_path(
-                fabric, s, t, failed_nodes=failed, cut_links=cut, engine=e
+            lambda r: r.shortest_surviving_path(
+                fabric, s, t, failed_nodes=failed, cut_links=cut
             ),
         )
 
         # Occasionally probe validation paths: unknown and out-of-AL
-        # endpoints must produce the same error text under both engines.
+        # endpoints must produce the same error text on both routers.
         if rng.random() < 0.3:
             _both(
                 fabric,
-                lambda e: shortest_path_in_al(
-                    fabric, "no-such-node", t, al, engine=e
+                lambda r: r.shortest_path_in_al(
+                    fabric, "no-such-node", t, al
                 ),
             )
         if ops and rng.random() < 0.3:
@@ -111,13 +101,8 @@ def test_engines_agree_on_paths_and_errors(seed):
             restricted = al - {outsider}
             _both(
                 fabric,
-                lambda e: k_shortest_paths(
-                    fabric,
-                    outsider,
-                    t,
-                    k=2,
-                    al_switches=restricted,
-                    engine=e,
+                lambda r: r.k_shortest_paths(
+                    fabric, outsider, t, k=2, al_switches=restricted
                 ),
             )
 
@@ -127,16 +112,16 @@ def test_parity_survives_topology_mutation():
     fabric = build_alvc_fabric(n_racks=3, servers_per_rack=2, n_ops=3, seed=1)
     servers = fabric.servers()
     s, t = servers[0], servers[-1]
-    _both(fabric, lambda e: simple_path(fabric, s, t, engine=e))
+    _both(fabric, lambda r: r.simple_path(fabric, s, t))
     tors = fabric.tors()
     fabric.connect(tors[0], tors[-1])  # new shortcut changes routes
-    status, path = _both(fabric, lambda e: simple_path(fabric, s, t, engine=e))
+    status, path = _both(fabric, lambda r: r.simple_path(fabric, s, t))
     assert status == "ok"
     assert tors[0] in path and tors[-1] in path
 
 
 def _one_chaos_run(seed: int):
-    """A full seeded chaos run (faults + flows) under the ambient engine."""
+    """A full seeded chaos run (faults + flows) on the ambient router."""
     from repro.chaos import FaultInjector, RecoveryPolicy, run_chaos
     from repro.sim.traffic import TrafficGenerator
 
@@ -158,11 +143,10 @@ def _one_chaos_run(seed: int):
 
 @pytest.mark.parametrize("seed", [5, 11])
 def test_chaos_replay_is_engine_invariant(seed):
-    """Chaos reports are bit-identical whichever engine routed them."""
-    with use_engine("nx"):
+    """Chaos reports are bit-identical whichever router routed them."""
+    with reference_routing():
         reference = _one_chaos_run(seed)
-    with use_engine("csr"):
-        candidate = _one_chaos_run(seed)
+    candidate = _one_chaos_run(seed)
     assert candidate == reference
     assert candidate.to_rows() == reference.to_rows()
     assert candidate.summary() == reference.summary()

@@ -1,9 +1,10 @@
 """EngineConfig: validation, coercion, and threading through the stack.
 
-The satellite that unifies the organically-grown ``kernel=`` /
-``engine=`` / ``routing_engine=`` / ``workers=`` knobs behind one typed
-config.  The old per-call spellings were removed at the v1.0 cut;
-journals written before it still restore.
+One typed config holds the four backend selectors (``solver``,
+``sim_engine``, ``admission``, ``workers``).  The old per-call
+spellings were removed at the v1.0 cut and the ``cover_kernel`` /
+``routing`` selectors after it; journals and snapshots written before
+either removal still restore to the same state.
 """
 
 import warnings
@@ -12,7 +13,6 @@ import pytest
 
 from repro.config import (
     ADMISSION_MODES,
-    COVER_KERNELS,
     SIM_ENGINES,
     EngineConfig,
 )
@@ -25,16 +25,16 @@ BUILD = dict(n_racks=3, servers_per_rack=3, n_ops=4, seed=0)
 class TestValidation:
     def test_defaults(self):
         config = EngineConfig()
-        assert config.cover_kernel == "auto"
-        assert config.routing == "auto"
+        assert config.solver == "greedy"
         assert config.sim_engine == "vector"
+        assert config.admission == "auto"
         assert config.workers == 1
 
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            ({"cover_kernel": "simd"}, "unknown cover kernel"),
-            ({"routing": "dijkstra9000"}, "unknown routing engine"),
+            ({"cover_kernel": "auto"}, "cover_kernel"),
+            ({"routing": "csr"}, "routing"),
             ({"sim_engine": "warp"}, "unknown simulation engine"),
             ({"admission": "psychic"}, "unknown admission mode"),
             (
@@ -49,8 +49,10 @@ class TestValidation:
         ],
     )
     def test_bad_values_rejected(self, kwargs, match):
+        # Through coerce, the path every engines= mapping and --build
+        # key takes: removed selectors fail like bad values.
         with pytest.raises(ValidationError, match=match):
-            EngineConfig(**kwargs)
+            EngineConfig.coerce(kwargs)
 
     def test_admission_modes(self):
         assert ADMISSION_MODES == ("auto", "batched")
@@ -68,9 +70,15 @@ class TestValidation:
         with pytest.raises(Exception):
             EngineConfig().workers = 4
 
-    def test_known_kernels_all_construct(self):
-        for kernel in COVER_KERNELS:
-            assert EngineConfig(cover_kernel=kernel).cover_kernel == kernel
+    def test_exactly_four_fields(self):
+        import dataclasses
+
+        assert [field.name for field in dataclasses.fields(EngineConfig)] == [
+            "solver",
+            "sim_engine",
+            "admission",
+            "workers",
+        ]
 
 
 class TestCoerce:
@@ -78,14 +86,12 @@ class TestCoerce:
         assert EngineConfig.coerce(None) == EngineConfig()
 
     def test_config_passes_through(self):
-        config = EngineConfig(routing="csr")
+        config = EngineConfig(solver="exact")
         assert EngineConfig.coerce(config) is config
 
     def test_dict_coerces(self):
-        config = EngineConfig.coerce(
-            {"cover_kernel": "bitset", "workers": 2}
-        )
-        assert config.cover_kernel == "bitset"
+        config = EngineConfig.coerce({"solver": "exact", "workers": 2})
+        assert config.solver == "exact"
         assert config.workers == 2
 
     def test_unknown_dict_key_rejected(self):
@@ -97,36 +103,29 @@ class TestCoerce:
             EngineConfig.coerce("bitset")
 
     def test_to_dict_round_trips(self):
-        config = EngineConfig(
-            cover_kernel="set", routing="nx", workers=3
-        )
+        config = EngineConfig(solver="auto", admission="batched", workers=3)
         assert EngineConfig.coerce(config.to_dict()) == config
 
 
 class TestStackThreading:
     def test_engines_thread_through_build(self):
-        config = EngineConfig(cover_kernel="bitset", routing="csr")
+        config = EngineConfig(solver="auto", admission="batched")
         stack = AlvcStack.build(engines=config, **BUILD)
         assert stack.engines == config
         assert stack.orchestrator.engines == config
-        assert (
-            stack.orchestrator.cluster_manager._kernel == "bitset"
-        )
-        assert stack.orchestrator._routing_engine == "csr"
+        assert stack.orchestrator.cluster_manager.engine == "auto"
 
     def test_engines_accepts_mapping(self):
-        stack = AlvcStack.build(
-            engines={"cover_kernel": "set"}, **BUILD
-        )
-        assert stack.engines.cover_kernel == "set"
+        stack = AlvcStack.build(engines={"solver": "auto"}, **BUILD)
+        assert stack.engines.solver == "auto"
 
     def test_engine_choice_is_bit_identical(self):
         digests = []
         from repro.service.snapshot import state_digest
 
         for config in (
-            EngineConfig(cover_kernel="set", routing="nx"),
-            EngineConfig(cover_kernel="bitset", routing="csr"),
+            EngineConfig(),
+            EngineConfig(admission="batched", workers=2),
         ):
             stack = AlvcStack.build(engines=config, **BUILD)
             stack.provision(("firewall", "nat"), service="web")
@@ -155,6 +154,7 @@ class TestDeprecatedSpellings:
             lambda: AlvcStack.build(**BUILD).orchestrator.delete_chain(
                 "chain-0"
             ),
+            lambda: _orchestrator(routing_engine="csr"),
         ],
         ids=[
             "build-routing_engine",
@@ -163,28 +163,16 @@ class TestDeprecatedSpellings:
             "run_sweep-kernel",
             "run_workload-engine",
             "delete_chain",
+            "orchestrator-routing_engine",
         ],
     )
     def test_removed_spellings_fail_loudly(self, call):
         with pytest.raises((TypeError, AttributeError)):
             call()
 
-    def test_conflicting_selectors_rejected(self):
-        # The orchestrator keeps its own routing_engine= constructor
-        # knob; it must agree with the EngineConfig it is handed.
-        from repro.core.orchestrator import NetworkOrchestrator
-
-        stack = AlvcStack.build(**BUILD)
-        with pytest.raises(ValidationError, match="conflicting"):
-            NetworkOrchestrator(
-                stack.inventory,
-                routing_engine="csr",
-                engines=EngineConfig(routing="nx"),
-            )
-
     def test_run_sweep_defaults_from_engines(self):
         stack = AlvcStack.build(
-            engines=EngineConfig(workers=1, cover_kernel="set"), **BUILD
+            engines=EngineConfig(workers=1), **BUILD
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -213,11 +201,44 @@ RETIRED = [
 ]
 
 
+#: Every value the removed ``cover_kernel`` and ``routing`` selectors
+#: took; only genesis records written before their removal carry them.
+REMOVED_SELECTORS = [
+    ("cover_kernel", "auto"),
+    ("cover_kernel", "set"),
+    ("cover_kernel", "bitset"),
+    ("routing", "auto"),
+    ("routing", "csr"),
+    ("routing", "nx"),
+]
+
+
+def _journal_with_genesis_engines(tmp_path, overrides: dict):
+    """A live journaled run, and a copy of its journal whose genesis
+    ``engines`` mapping carries ``overrides`` (as an older writer's
+    would).  Returns ``(live_stack, old_journal_path)``."""
+    from repro.service import read_journal
+    from repro.service.journal import Journal
+
+    live = AlvcStack.build(journal=tmp_path / "live.alvc", sync="off", **BUILD)
+    live.provision(("firewall", "nat"), service="web")
+    live.provision(("nat",), service="sns")
+    live.journal.close()
+    records = read_journal(tmp_path / "live.alvc").records
+    genesis = records[0].data["build"]
+    engines = {**genesis["engines"], **overrides}
+    with Journal(tmp_path / "old.alvc", sync="off") as old:
+        old.append("genesis", {"build": {**genesis, "engines": engines}})
+        for record in records[1:]:
+            old.append(record.op, record.data, nested=record.nested)
+    return live, tmp_path / "old.alvc"
+
+
 class TestJournalIntegration:
     def test_genesis_embeds_engines(self, tmp_path):
         from repro.service import ControlPlaneService
 
-        config = EngineConfig(cover_kernel="bitset", workers=2)
+        config = EngineConfig(admission="batched", workers=2)
         with ControlPlaneService.open(
             tmp_path / "state",
             sync="off",
@@ -236,25 +257,11 @@ class TestJournalIntegration:
     def test_retired_engine_names_restore(self, tmp_path, retired):
         """Journals written before the v1.0 cut name engines that no
         longer exist; they restore to the same control plane."""
-        from repro.service import read_journal, restore_stack
-        from repro.service.journal import Journal
+        from repro.service import restore_stack
         from repro.service.snapshot import state_digest
 
-        live = AlvcStack.build(
-            journal=tmp_path / "live.alvc", sync="off", **BUILD
-        )
-        live.provision(("firewall", "nat"), service="web")
-        live.provision(("nat",), service="sns")
-        live.journal.close()
-        records = read_journal(tmp_path / "live.alvc").records
-        genesis = records[0].data["build"]
-        engines = {**genesis["engines"], **retired}
-        with Journal(tmp_path / "old.alvc", sync="off") as old:
-            old.append("genesis", {"build": {**genesis, "engines": engines}})
-            for record in records[1:]:
-                old.append(record.op, record.data, nested=record.nested)
-
-        restored = restore_stack(tmp_path / "old.alvc").stack
+        live, old_journal = _journal_with_genesis_engines(tmp_path, retired)
+        restored = restore_stack(old_journal).stack
         assert restored.engines.sim_engine in ("vector", "legacy")
         assert restored.engines.admission == "auto"
         assert state_digest(restored) == state_digest(live)
@@ -262,6 +269,73 @@ class TestJournalIntegration:
         fresh.provision(("firewall", "nat"), service="web")
         fresh.provision(("nat",), service="sns")
         assert state_digest(restored) == state_digest(fresh)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        REMOVED_SELECTORS,
+        ids=lambda item: item if isinstance(item, str) else None,
+    )
+    def test_removed_selector_genesis_restores(self, tmp_path, key, value):
+        """A genesis written before ``cover_kernel``/``routing`` were
+        removed carries one of their values; restore drops it and
+        lands on the live state."""
+        from repro.service import restore_stack
+        from repro.service.snapshot import state_digest
+
+        live, old_journal = _journal_with_genesis_engines(
+            tmp_path, {key: value}
+        )
+        restored = restore_stack(old_journal).stack
+        assert restored.engines == live.engines
+        assert state_digest(restored) == state_digest(live)
+
+    @pytest.mark.parametrize("layout", ["six-entry", "unknown-length"])
+    def test_pre_removal_snapshot_never_shifts_fields(
+        self, tmp_path, monkeypatch, layout
+    ):
+        """A frozen slots dataclass pickles its fields as a positional
+        list, so a snapshot written with the six-field config must be
+        mapped by the old field order — or refused, so restore falls
+        back to genesis replay — and never shift a value."""
+        from repro.service import restore_stack
+        from repro.service.snapshot import state_digest, write_snapshot
+
+        config = EngineConfig(admission="batched", workers=2)
+        live = AlvcStack.build(
+            engines=config,
+            journal=tmp_path / "journal.alvc",
+            sync="off",
+            **BUILD,
+        )
+        live.provision(("firewall", "nat"), service="web")
+        old_states = {
+            # cover_kernel, routing, solver, sim_engine, admission, workers
+            "six-entry": lambda c: [
+                "bitset", "nx", c.solver, c.sim_engine, c.admission, c.workers
+            ],
+            "unknown-length": lambda c: [c.solver, c.sim_engine, c.admission],
+        }
+        with monkeypatch.context() as patch:
+            patch.setattr(EngineConfig, "__getstate__", old_states[layout])
+            write_snapshot(
+                live,
+                tmp_path / "snapshot.alvc",
+                journal_seq=live.journal.next_seq,
+            )
+        live.provision(("nat",), service="sns")
+        live.journal.close()
+
+        result = restore_stack(
+            tmp_path / "journal.alvc", tmp_path / "snapshot.alvc"
+        )
+        if layout == "six-entry":
+            assert result.source == "snapshot"
+        else:
+            assert result.source == "genesis"
+            assert "EngineConfig state has 3 entries" in result.snapshot_error
+        assert result.stack.engines == config
+        assert result.stack.orchestrator.engines == config
+        assert state_digest(result.stack) == state_digest(live)
 
     @pytest.mark.parametrize(
         "retired", RETIRED, ids=lambda retired: "-".join(retired.values())
@@ -302,3 +376,9 @@ class TestJournalIntegration:
 
 def _square(x):
     return x * x
+
+
+def _orchestrator(**kwargs):
+    from repro.core.orchestrator import NetworkOrchestrator
+
+    return NetworkOrchestrator(AlvcStack.build(**BUILD).inventory, **kwargs)

@@ -4,8 +4,8 @@ The contract is structural parity with per-event admission: the plan
 and per-arrival routing resolve through the same tree-canonical
 primitive (:func:`repro.sim.admission.resolve_tree_path`), so an
 interned route must equal a cold per-pair resolution — including after
-fault/repair cycles force lazy re-resolution, and on both routing
-engines.
+fault/repair cycles force lazy re-resolution, and on both the CSR
+router and the frozen networkx reference.
 """
 
 import random
@@ -14,6 +14,7 @@ import pytest
 
 from repro.exceptions import RoutingError, ValidationError
 from repro.observability.runtime import Telemetry
+from repro.sdn import nx_reference
 from repro.sdn.path_engine import engine_for
 from repro.sim.admission import (
     NO_PLAN_ROUTE,
@@ -28,6 +29,15 @@ from repro.sim.vector import VectorFairShareEngine
 from tests.sim.oracle import assert_matches_legacy, certified_recomputes
 
 ENGINES = ("csr", "nx")
+
+
+def _cold(engine, network, source, destination, al):
+    """A cold tree-canonical resolution on the named router."""
+    if engine == "csr":
+        return resolve_tree_path(network, source, destination, al)
+    return nx_reference.routes_from(network, source, [destination], al)[
+        destination
+    ]
 
 
 @pytest.fixture
@@ -71,17 +81,12 @@ class TestPlanResolution:
             populated_inventory.network,
             pairs,
             _link_index(populated_inventory),
-            engine=engine,
         )
         for source, destination, al in pairs:
             route = plan.lookup(source, destination, al)
             assert route is not NO_PLAN_ROUTE
-            cold = resolve_tree_path(
-                populated_inventory.network,
-                source,
-                destination,
-                al,
-                engine=engine,
+            cold = _cold(
+                engine, populated_inventory.network, source, destination, al
             )
             assert route.path == cold
             assert len(route.links) == len(cold) - 1
@@ -90,19 +95,14 @@ class TestPlanResolution:
     def test_engines_agree_on_interned_paths(self, populated_inventory):
         rng = random.Random(13)
         pairs = _host_pairs(populated_inventory, rng, 12)
-        plans = {
-            engine: plan_admission(
-                populated_inventory.network,
-                pairs,
-                _link_index(populated_inventory),
-                engine=engine,
-            )
-            for engine in ENGINES
-        }
+        plan = plan_admission(
+            populated_inventory.network,
+            pairs,
+            _link_index(populated_inventory),
+        )
         for key in pairs:
-            assert (
-                plans["csr"].lookup(*key).path
-                == plans["nx"].lookup(*key).path
+            assert plan.lookup(*key).path == _cold(
+                "nx", populated_inventory.network, *key
             )
 
     def test_unreachable_pair_interns_negative(self, populated_inventory):
@@ -159,7 +159,7 @@ class TestPlanResolution:
 
 class TestFaultRepairReresolution:
     """S3: lazily re-resolved interned paths equal cold resolution
-    after ``note_fault``/repair cycles (seeded, both engines)."""
+    after ``note_fault``/repair cycles (seeded, against both routers)."""
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_reresolution_matches_cold_engine(
@@ -168,9 +168,7 @@ class TestFaultRepairReresolution:
         network = populated_inventory.network
         rng = random.Random(29)
         pairs = _host_pairs(populated_inventory, rng, 10)
-        plan = plan_admission(
-            network, pairs, _link_index(populated_inventory), engine=engine
-        )
+        plan = plan_admission(network, pairs, _link_index(populated_inventory))
         for cycle in range(3):
             # A fault lands on a link some interned route crosses.
             victim_route = plan.lookup(*pairs[cycle])
@@ -186,9 +184,7 @@ class TestFaultRepairReresolution:
             for key in pairs:
                 route = plan.lookup(*key)
                 assert route is not NO_PLAN_ROUTE
-                cold = resolve_tree_path(
-                    network, key[0], key[1], key[2], engine=engine
-                )
+                cold = _cold(engine, network, *key)
                 assert route.path == cold, (cycle, key)
 
     def test_negative_entries_survive_invalidation(

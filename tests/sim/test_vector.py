@@ -516,6 +516,39 @@ class TestBatchedEngine:
             {"f0": [A, B], "f1": [B]}, CAPS
         )
 
+    def test_disabled_kernel_is_visible_in_telemetry(self, monkeypatch):
+        from repro.observability.runtime import Telemetry
+        from repro.sim import ckernel
+
+        monkeypatch.setenv(ckernel.DISABLE_ENV, "1")
+        monkeypatch.setattr(ckernel, "_kernel", ckernel._UNSET)
+        telemetry = Telemetry.enabled_instance()
+        engine = self._batched(telemetry=telemetry)
+        metrics = telemetry.registry
+        assert metrics.value_of("alvc_sim_ckernel_available") == 0.0
+        assert metrics.value_of("alvc_sim_ckernel_fallback_total") == 0.0
+        engine.add_flow("f0", [A, B])
+        engine.add_flow("f1", [B])
+        engine.recompute()
+        engine.recompute()
+        assert metrics.value_of("alvc_sim_ckernel_fallback_total") == 2.0
+
+    def test_active_kernel_is_visible_in_telemetry(self, monkeypatch):
+        from repro.observability.runtime import Telemetry
+        from repro.sim import ckernel
+
+        monkeypatch.delenv(ckernel.DISABLE_ENV, raising=False)
+        monkeypatch.setattr(ckernel, "_kernel", ckernel._UNSET)
+        if ckernel.waterfill_kernel() is None:
+            pytest.skip("no C compiler in this environment")
+        telemetry = Telemetry.enabled_instance()
+        engine = self._batched(telemetry=telemetry)
+        engine.add_flow("f0", [A, B])
+        engine.recompute()
+        metrics = telemetry.registry
+        assert metrics.value_of("alvc_sim_ckernel_available") == 1.0
+        assert metrics.value_of("alvc_sim_ckernel_fallback_total") == 0.0
+
     def test_symbolless_cached_library_is_rebuilt(
         self, monkeypatch, tmp_path
     ):

@@ -133,6 +133,23 @@ class TestServe:
         assert "bad --build entry" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "spec", ["cover_kernel=bitset", "routing=nx", "n_rackz=4"]
+    )
+    def test_serve_rejects_unknown_build_keys(
+        self, capsys, monkeypatch, tmp_path, spec
+    ):
+        # Removed engine selectors and typos alike fail cleanly
+        # (ValidationError -> exit 2), never as a traceback.
+        state = tmp_path / "state"
+        code = self._serve(
+            monkeypatch, ["--state", str(state), "--build", spec], []
+        )
+        assert code == 2
+        key = spec.partition("=")[0]
+        assert f"unknown --build key '{key}'" in capsys.readouterr().err
+        assert not (state / "journal.alvc").exists()
+
 class TestRun:
     def test_run_fig4(self, capsys):
         assert main(["run", "fig4"]) == 0
@@ -180,6 +197,10 @@ class TestParser:
     def test_run_requires_experiments(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run"])
+
+    def test_run_has_no_engine_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "fig5", "--engine", "csr"])
 
 
 class TestReport:

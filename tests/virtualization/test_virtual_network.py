@@ -121,16 +121,19 @@ class TestEmbedding:
 
 
 class TestEmbeddingEngines:
-    """Embedding routes through the engine layer, not raw networkx."""
+    """Embedding routes through the routing layer, not raw networkx."""
 
     def test_engine_choice_does_not_change_embedding(self, placed):
+        from tests.sdn.reference import reference_routing
+
         inventory, vms = placed
         vn = VirtualNetwork("vn")
         vn.add_link(VirtualLink(vms[0].vm_id, vms[1].vm_id))
         vn.add_link(VirtualLink(vms[1].vm_id, vms[2].vm_id))
         vn.add_link(VirtualLink(vms[0].vm_id, vms[2].vm_id))
-        via_nx = vn.embed(inventory, engine="nx")
-        via_csr = vn.embed(inventory, engine="csr")
+        with reference_routing():
+            via_nx = vn.embed(inventory)
+        via_csr = vn.embed(inventory)
         assert via_csr == via_nx
 
     def test_disconnected_fabric_raises_routing_error(self, service_catalog):

@@ -1,13 +1,12 @@
-"""Cross-engine churn parity: every backend makes identical decisions.
+"""Cross-implementation churn parity: every path makes identical decisions.
 
-The engine selectors (:class:`~repro.config.EngineConfig`) are
-implementation choices, never behaviour choices — so a whole churn run
-(admissions, rejections, scaling, storms, defrag) must produce the
+Implementation choices are never behaviour choices — so a whole churn
+run (admissions, rejections, scaling, storms, defrag) must produce the
 bit-identical decision log *and* land the control plane in the
-digest-identical state on every backend:
+digest-identical state on each of:
 
-* cover kernel ``set`` vs ``bitset`` (AL construction/repair),
-* routing ``csr`` vs ``nx`` (path computation),
+* routing on the CSR router vs the frozen networkx reference
+  (:mod:`repro.sdn.nx_reference`),
 * solver ``greedy`` vs ``auto`` (placement; ``auto`` may route small
   instances to the exact MILPs, which certify the same optimum the
   greedy reaches on these fabrics).
@@ -17,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from tests.sdn.reference import reference_routing
 from tests.workload.conftest import small_soak
 
 SEEDS = (0, 7, 23)
@@ -43,16 +43,10 @@ def _assert_parity(baseline, candidate, label: str) -> None:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_cover_kernel_parity_set_vs_bitset(seed):
-    _, on_set = _soak_on({"cover_kernel": "set"}, seed)
-    _, on_bitset = _soak_on({"cover_kernel": "bitset"}, seed)
-    _assert_parity(on_set, on_bitset, "cover kernel set vs bitset")
-
-
-@pytest.mark.parametrize("seed", SEEDS)
 def test_routing_parity_csr_vs_nx(seed):
-    _, on_csr = _soak_on({"routing": "csr"}, seed)
-    _, on_nx = _soak_on({"routing": "nx"}, seed)
+    _, on_csr = _soak_on({}, seed)
+    with reference_routing():
+        _, on_nx = _soak_on({}, seed)
     _assert_parity(on_csr, on_nx, "routing csr vs nx")
 
 

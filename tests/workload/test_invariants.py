@@ -151,6 +151,47 @@ def test_journal_replay_is_digest_identical(seed, tmp_path):
         restored.journal.close()
 
 
+def test_journal_replay_is_digest_identical_with_telemetry(tmp_path):
+    """With telemetry on, the digest also covers counters and gauges.
+
+    The E25 dense arm's shape routes flows through the admission
+    planner and schedules chaos faults, so its live registry holds
+    simulator-side admission counters and the injector's scheduling
+    counter that replay never re-creates; neither is state, so the
+    restored digest must still match the live one.
+    """
+    from repro.workload import ScenarioConfig
+
+    journal_path = tmp_path / "journal.alvc"
+    stack = AlvcStack.build(
+        seed=7,
+        n_racks=2,
+        servers_per_rack=4,
+        n_ops=8,
+        vms_per_service=2,
+        exclusive_chains=False,
+        journal=journal_path,
+        sync="off",
+        telemetry="json",
+    )
+    stack.run_workload(
+        seed=3,
+        config=ScenarioConfig(days=0.5),
+        chaos_rate=0.04,
+        storm_period=8,
+    )
+    registry = stack.telemetry.registry.snapshot()
+    assert "alvc_admission_bulk_flows_total" in registry
+    assert "alvc_faults_injected_total" in registry
+    live = state_digest(stack)
+    stack.journal.close()
+    restored = AlvcStack.restore(journal_path)
+    try:
+        assert state_digest(restored) == live
+    finally:
+        restored.journal.close()
+
+
 def test_run_to_run_determinism_spot_check():
     """Same seed, twice: the full report (decision log included) matches."""
     _, first = small_soak(11, chaos_rate=0.15, storm_period=3)
